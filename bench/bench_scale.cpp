@@ -9,8 +9,10 @@
 //            asserts the two runs are bit-identical (events, final clock,
 //            FCT hash) and reports the path-table bytes each mode peaks at
 //   flows    flow churn: repeated waves of short flows through one
-//            experiment. Reports slab bytes/flow and asserts the slab pools
-//            stop hitting the heap once warm (steady-state zero-alloc)
+//            experiment. Reports slab bytes/flow, every heap byte and
+//            allocation spawn makes per flow (a counting operator new),
+//            and asserts the slab pools stop hitting the heap once warm
+//            (steady-state zero-alloc)
 //   scale    a hosts-per-DC x DC-count grid of permutation runs recording
 //            events/s, p99 FCT, path bytes, and process RSS per cell
 //   shards   ONE 4-DC permutation at --shards 1/2/4: asserts all three
@@ -25,16 +27,50 @@
 // Exit code: 0 when every determinism/memory gate holds, 1 otherwise.
 // Timing numbers (events/s, speedup) are reported but never gated here —
 // CI applies its own retry policy to those.
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/common.hpp"
 #include "workload/traffic.hpp"
+
+// Counting global allocator: every heap allocation in the process bumps
+// these, so the flows scenario can charge spawn with all of a flow's
+// objects (sender, receiver, CC, LB, callbacks), not only its slab state.
+// Every unaligned form is replaced so each allocation pairs malloc with
+// free; the aligned forms keep their own matching default pair.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+std::atomic<std::uint64_t> g_heap_bytes{0};
+
+void* counted_malloc(std::size_t n) noexcept {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(n, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+void* counted_malloc_or_throw(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_malloc_or_throw(n); }
+void* operator new[](std::size_t n) { return counted_malloc_or_throw(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_malloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_malloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 using namespace uno;
 
@@ -149,6 +185,8 @@ struct ChurnResult {
   std::uint64_t path_revived = 0;
   std::uint64_t slabs_reused = 0;
   double bytes_per_flow = 0;             // slab peak / peak concurrent flows
+  double heap_bytes_per_flow = 0;        // every heap byte spawn asked for
+  double heap_allocs_per_flow = 0;       // ... and the allocations behind them
   bool steady_state_clean = false;       // no heap growth after warm-up
 };
 
@@ -178,6 +216,7 @@ ChurnResult run_churn(bool quick) {
   };
 
   std::uint64_t rot = 0;
+  std::uint64_t spawn_allocs = 0, spawn_bytes = 0;
   for (int w = 0; w < r.waves; ++w) {
     std::vector<FlowSpec> specs;
     specs.reserve(r.flows_per_wave);
@@ -194,7 +233,11 @@ ChurnResult run_churn(bool quick) {
       s.interdc = false;
       specs.push_back(s);
     }
+    const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t bytes0 = g_heap_bytes.load(std::memory_order_relaxed);
     ex.spawn_all(specs);
+    spawn_allocs += g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
+    spawn_bytes += g_heap_bytes.load(std::memory_order_relaxed) - bytes0;
     ex.run_to_completion(ex.now() + 20 * kSecond);
     if (w == 1) r.heap_allocs_warm = heap_allocs();
   }
@@ -209,6 +252,10 @@ ChurnResult run_churn(bool quick) {
   r.slabs_reused = m.counter("topo.paths.slabs_reused");
   r.bytes_per_flow =
       static_cast<double>(r.slab_peak_bytes) / static_cast<double>(r.flows_per_wave);
+  r.heap_bytes_per_flow =
+      static_cast<double>(spawn_bytes) / static_cast<double>(r.flows_total);
+  r.heap_allocs_per_flow =
+      static_cast<double>(spawn_allocs) / static_cast<double>(r.flows_total);
   r.steady_state_clean = r.heap_allocs_final == r.heap_allocs_warm;
   return r;
 }
@@ -332,13 +379,14 @@ void write_json(const std::string& path, bool quick, const PathsAbResult& paths,
   std::fprintf(f,
                "  \"flows\": {\"waves\": %d, \"flows_per_wave\": %zu, "
                "\"flows_total\": %zu, \"slab_peak_bytes\": %llu, "
-               "\"bytes_per_flow\": %.0f, \"heap_allocs_warm\": %llu, "
+               "\"bytes_per_flow\": %.0f, \"heap_bytes_per_flow\": %.0f, "
+               "\"heap_allocs_per_flow\": %.2f, \"heap_allocs_warm\": %llu, "
                "\"heap_allocs_final\": %llu, \"steady_state_clean\": %s, "
                "\"path_evictions\": %llu, \"path_revived\": %llu, "
                "\"slabs_reused\": %llu},\n",
                churn.waves, churn.flows_per_wave, churn.flows_total,
                static_cast<unsigned long long>(churn.slab_peak_bytes),
-               churn.bytes_per_flow,
+               churn.bytes_per_flow, churn.heap_bytes_per_flow, churn.heap_allocs_per_flow,
                static_cast<unsigned long long>(churn.heap_allocs_warm),
                static_cast<unsigned long long>(churn.heap_allocs_final),
                churn.steady_state_clean ? "true" : "false",
@@ -396,6 +444,11 @@ int main(int argc, char** argv) {
   // power-of-two size-class rounding. A regression that hangs per-packet
   // state off the flow (or stops releasing it) blows through the ceiling.
   constexpr double kBytesPerFlowCeiling = 16 * 1024.0;
+  // Every heap byte spawn asks for, per flow: sender, receiver, CC, LB,
+  // callbacks and the slab pools' cold-start growth (~2.5 KB at --quick,
+  // ~2.0 KB full). An LB that seeded its generator eagerly again would add
+  // ~2.5 KB and trip it.
+  constexpr double kHeapBytesPerFlowCeiling = 2816.0;
 
   bench::print_header("bench_scale",
                       quick ? "memory + scale trajectory (quick)"
@@ -419,10 +472,11 @@ int main(int argc, char** argv) {
   ChurnResult churn;
   if (wanted("flows")) {
     churn = run_churn(quick);
-    std::printf("flows: %zu flows in %d waves, %.0f B/flow slab peak, heap allocs "
-                "%llu warm -> %llu final (%s), %llu evictions / %llu revived / "
-                "%llu slabs reused\n",
+    std::printf("flows: %zu flows in %d waves, %.0f B/flow slab peak, spawn heap "
+                "%.0f B / %.2f allocs per flow, slab heap allocs %llu warm -> %llu "
+                "final (%s), %llu evictions / %llu revived / %llu slabs reused\n",
                 churn.flows_total, churn.waves, churn.bytes_per_flow,
+                churn.heap_bytes_per_flow, churn.heap_allocs_per_flow,
                 static_cast<unsigned long long>(churn.heap_allocs_warm),
                 static_cast<unsigned long long>(churn.heap_allocs_final),
                 churn.steady_state_clean ? "clean" : "HEAP GREW AFTER WARM-UP",
@@ -433,6 +487,11 @@ int main(int argc, char** argv) {
     if (churn.bytes_per_flow > kBytesPerFlowCeiling) {
       std::printf("flows: bytes/flow %.0f EXCEEDS ceiling %.0f\n", churn.bytes_per_flow,
                   kBytesPerFlowCeiling);
+      ok = false;
+    }
+    if (churn.heap_bytes_per_flow > kHeapBytesPerFlowCeiling) {
+      std::printf("flows: spawn heap bytes/flow %.0f EXCEEDS ceiling %.0f\n",
+                  churn.heap_bytes_per_flow, kHeapBytesPerFlowCeiling);
       ok = false;
     }
   }

@@ -20,7 +20,7 @@ EcmpLb::EcmpLb(std::uint64_t flow_id, std::uint16_t num_paths)
 PlbLb::PlbLb(const Params& params, std::uint64_t flow_id, std::uint16_t num_paths, Rng rng)
     : params_(params),
       num_paths_(num_paths),
-      rng_(rng),
+      rng_(std::move(rng)),
       path_(static_cast<std::uint16_t>(mix(flow_id) % num_paths)) {
   assert(params_.round_duration > 0);
 }
@@ -66,7 +66,7 @@ void PlbLb::repath(Time now) {
 }
 
 RepsLb::RepsLb(std::uint16_t num_paths, Rng rng, std::size_t cache_limit)
-    : num_paths_(num_paths), rng_(rng), cache_limit_(cache_limit) {
+    : num_paths_(num_paths), rng_(std::move(rng)), cache_limit_(cache_limit) {
   cache_.reserve(cache_limit_);
 }
 
@@ -88,7 +88,7 @@ void RepsLb::on_ack(std::uint16_t entropy, bool ecn, Time) {
 }
 
 UnoLb::UnoLb(const Params& params, std::uint16_t num_paths, Rng rng)
-    : params_(params), num_paths_(num_paths), rng_(rng) {
+    : params_(params), num_paths_(num_paths), rng_(std::move(rng)) {
   assert(params_.base_rtt > 0);
   if (params_.freshness_window == 0) params_.freshness_window = 2 * params_.base_rtt;
   const int n = std::min<int>(params_.num_subflows, num_paths_);

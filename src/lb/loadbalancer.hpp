@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -58,7 +59,7 @@ class EcmpLb final : public LoadBalancer {
 
 class RpsLb final : public LoadBalancer {
  public:
-  RpsLb(std::uint16_t num_paths, Rng rng) : num_paths_(num_paths), rng_(rng) {}
+  RpsLb(std::uint16_t num_paths, Rng rng) : num_paths_(num_paths), rng_(std::move(rng)) {}
   std::uint16_t pick(std::uint64_t) override {
     return static_cast<std::uint16_t>(rng_.uniform_below(num_paths_));
   }

@@ -5,7 +5,7 @@
 
 namespace uno {
 
-BurstLoss::BurstLoss(const Params& params, Rng rng) : params_(params), rng_(rng) {
+BurstLoss::BurstLoss(const Params& params, Rng rng) : params_(params), rng_(std::move(rng)) {
   assert(!params_.length_weights.empty());
   const double total = std::accumulate(params_.length_weights.begin(),
                                        params_.length_weights.end(), 0.0);

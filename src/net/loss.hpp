@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -25,7 +26,7 @@ class LossModel {
 /// Independent per-packet loss.
 class BernoulliLoss final : public LossModel {
  public:
-  BernoulliLoss(double p, Rng rng) : p_(p), rng_(rng) {}
+  BernoulliLoss(double p, Rng rng) : p_(p), rng_(std::move(rng)) {}
   bool should_drop(Time) override { return rng_.chance(p_); }
 
  private:
@@ -44,7 +45,7 @@ class GilbertElliottLoss final : public LossModel {
     double loss_bad = 0.5;        // loss probability while Bad
   };
 
-  GilbertElliottLoss(const Params& params, Rng rng) : params_(params), rng_(rng) {}
+  GilbertElliottLoss(const Params& params, Rng rng) : params_(params), rng_(std::move(rng)) {}
 
   bool should_drop(Time) override {
     if (bad_) {

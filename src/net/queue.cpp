@@ -16,7 +16,7 @@ double red_probability(const RedConfig& red, std::int64_t occ) {
 }  // namespace
 
 Queue::Queue(EventQueue& eq, std::string name, const QueueConfig& cfg, Rng rng)
-    : eq_(eq), name_(std::move(name)), cfg_(cfg), rng_(rng) {
+    : eq_(eq), name_(std::move(name)), cfg_(cfg), rng_(std::move(rng)) {
   assert(cfg_.rate > 0);
   assert(cfg_.capacity_bytes > 0);
   phantom_rate_ = static_cast<Bandwidth>(static_cast<double>(cfg_.rate) *

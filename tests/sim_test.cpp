@@ -2,8 +2,13 @@
 // timers, and RNG stream independence.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <utility>
 #include <vector>
 
+#include "lb/loadbalancer.hpp"
+#include "net/queue.hpp"
 #include "sim/event.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -189,6 +194,70 @@ TEST(Rng, ExponentialMean) {
   for (int i = 0; i < n; ++i) sum += r.exponential(250.0);
   EXPECT_NEAR(sum / n, 250.0, 10.0);
 }
+
+// The engine is built on the first draw, seeded exactly as an eager
+// std::mt19937_64 would be, and the std:: distributions are unchanged, so
+// every sequence matches the reference draw for draw.
+std::uint64_t splitmix_seed(std::uint64_t seed, std::uint64_t stream) {
+  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (stream + 1);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+void expect_matches_reference(Rng& rng, std::uint64_t seed) {
+  std::mt19937_64 ref(seed);
+  using U64 = std::uniform_int_distribution<std::uint64_t>;
+  using I64 = std::uniform_int_distribution<std::int64_t>;
+  using Real = std::uniform_real_distribution<double>;
+  for (int i = 0; i < 200; ++i) {
+    switch (i % 5) {
+      case 0:
+        EXPECT_EQ(rng.uniform_below(1000), U64(0, 999)(ref));
+        break;
+      case 1:
+        EXPECT_EQ(rng.uniform_int(-50, 50), I64(-50, 50)(ref));
+        break;
+      case 2:
+        EXPECT_EQ(rng.uniform(), Real(0.0, 1.0)(ref));
+        break;
+      case 3:
+        EXPECT_EQ(rng.exponential(250.0), std::exponential_distribution<double>(1.0 / 250.0)(ref));
+        break;
+      default:
+        EXPECT_EQ(rng.chance(0.3), Real(0.0, 1.0)(ref) < 0.3);
+    }
+  }
+}
+
+TEST(Rng, LazyEngineMatchesEagerReference) {
+  for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 0xDEADBEEFULL}) {
+    Rng direct(seed);
+    expect_matches_reference(direct, seed);
+    for (std::uint64_t stream : {0ULL, 1ULL, 707ULL, 0xB0DE5ULL}) {
+      Rng derived = Rng::stream(seed, stream);
+      expect_matches_reference(derived, splitmix_seed(seed, stream));
+    }
+  }
+}
+
+TEST(Rng, MovedMidStreamContinuesSequence) {
+  Rng a(99);
+  Rng ref(99);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(a.uniform_below(1 << 20), ref.uniform_below(1 << 20));
+  Rng b(std::move(a));
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(b.uniform_below(1 << 20), ref.uniform_below(1 << 20));
+  Rng c(1);
+  c = std::move(b);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(c.uniform_below(1 << 20), ref.uniform_below(1 << 20));
+}
+
+// Size budgets: a generator is its seed plus an engine pointer, and the
+// per-flow LB and per-port Queue stay small so a new member cannot silently
+// re-inflate them.
+static_assert(sizeof(Rng) <= 16);
+static_assert(sizeof(UnoLb) <= 160);
+static_assert(sizeof(Queue) <= 544);
 
 }  // namespace
 }  // namespace uno
