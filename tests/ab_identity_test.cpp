@@ -223,5 +223,47 @@ TEST(AbIdentity, GpuClusterScenarioGolden) {
   }
 }
 
+/// Short-flow churn through the ScenarioHarness: thousands of RPC-sized
+/// flows with staggered start times, a third of them erasure-coded across
+/// the WAN. Pins the flow lifecycle end to end — start events, receivers
+/// that first hear of a flow from its first packet, parity that lands after
+/// the message completed, and pacing / block-timer wakeups that fire after
+/// completion (each of them counts in `events`).
+RunDigest run_rpc_churn(int shards) {
+  ExperimentConfig cfg;
+  cfg.seed = 1;
+  cfg.fattree_k = 4;
+  cfg.shards = shards;
+  Experiment ex(cfg);
+  std::unique_ptr<Scenario> sc = ScenarioRegistry::instance().create("rpc_churn");
+  EXPECT_NE(sc, nullptr);
+  std::string err;
+  EXPECT_TRUE(sc->set_options({{"duration-ms", "0.3"}, {"load", "0.5"},
+                               {"inter-frac", "0.3"}},
+                              &err))
+      << err;
+  ScenarioEnv env;
+  env.hosts = HostSpace{16, 2};
+  env.seed = cfg.seed;
+  env.host_rate = cfg.uno.link_rate;
+  EXPECT_TRUE(sc->init(env, &err)) << err;
+  ScenarioHarness harness(ex, *sc);
+  EXPECT_TRUE(harness.run(20 * kSecond));
+  return digest_of(ex);
+}
+
+TEST(AbIdentity, RpcChurnScenarioGolden) {
+  const RunDigest want{1207352ull,        4480000000,           9785948864266ull,
+                       14581230461865388854ull, 39684ull, 5396ull, 290ull, 0ull};
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const RunDigest got = run_rpc_churn(shards);
+    if (shards == 1)
+      print_or_check("rpc_churn_scn", got, want);
+    else
+      EXPECT_EQ(got, want) << "sharded run diverged from the monolithic golden";
+  }
+}
+
 }  // namespace
 }  // namespace uno
