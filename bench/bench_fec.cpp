@@ -133,19 +133,14 @@ struct VerifiedFlow {
   FlowReceiver* receiver = nullptr;
 };
 
-VerifiedFlow spawn_verified(Experiment& ex, const FlowSpec& spec) {
+VerifiedFlow spawn_verified(Experiment& ex, FlowStack& stack, const FlowSpec& spec) {
   FlowParams params = ex.flow_params(spec);
   params.id = 880000 + static_cast<std::uint64_t>(spec.src) * 1000 + spec.dst;
   params.verify_payload = true;
   params.payload_shard_bytes = 1024;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
-  auto cc = make_cc(CcKind::kUno, ex.cc_params(spec), ex.config().uno);
-  auto lb = make_lb(LbKind::kUnoLb, params.id,
-                    static_cast<std::uint16_t>(paths.size()), params.base_rtt,
-                    ex.config().uno, ex.config().seed);
   auto flow = std::make_unique<Flow>(ex.eq(), ex.topo().host(spec.src),
-                                     ex.topo().host(spec.dst), params, &paths,
-                                     std::move(cc), std::move(lb));
+                                     ex.topo().host(spec.dst), params, &paths, stack);
   flow->start();
   VerifiedFlow v;
   v.flow = std::move(flow);
@@ -169,9 +164,10 @@ MacroResult run_macro(bool quick) {
 
   const int hosts = ex.topo().hosts_per_dc();
   const std::uint64_t bytes = (quick ? 1 : 4) * (1u << 20);
+  SchemeStack stack(cfg.scheme, cfg.uno, cfg.seed);
   std::vector<VerifiedFlow> flows;
   for (int h = 0; h < hosts; ++h)
-    flows.push_back(spawn_verified(ex, {h, hosts + (h + 3) % hosts, bytes, 0, true}));
+    flows.push_back(spawn_verified(ex, stack, {h, hosts + (h + 3) % hosts, bytes, 0, true}));
 
   const double t0 = now_seconds();
   ex.run_until(30 * kSecond);

@@ -41,8 +41,9 @@
 #include "workload/traffic.hpp"
 
 // Counting global allocator: every heap allocation in the process bumps
-// these, so the flows scenario can charge spawn with all of a flow's
-// objects (sender, receiver, CC, LB, callbacks), not only its slab state.
+// these, so the flows scenario can charge spawn with everything a flow
+// costs there (its record, host registrations, path acquires, and any
+// engine built at once), not only its slab state.
 // Every unaligned form is replaced so each allocation pairs malloc with
 // free; the aligned forms keep their own matching default pair.
 namespace {
@@ -187,6 +188,7 @@ struct ChurnResult {
   double bytes_per_flow = 0;             // slab peak / peak concurrent flows
   double heap_bytes_per_flow = 0;        // every heap byte spawn asked for
   double heap_allocs_per_flow = 0;       // ... and the allocations behind them
+  std::uint64_t live_peak = 0;           // most flow engines live at once
   bool steady_state_clean = false;       // no heap growth after warm-up
 };
 
@@ -250,6 +252,7 @@ ChurnResult run_churn(bool quick) {
   r.path_evictions = m.counter("topo.paths.evictions");
   r.path_revived = m.counter("topo.paths.pairs_revived");
   r.slabs_reused = m.counter("topo.paths.slabs_reused");
+  r.live_peak = m.counter("mem.flow.live_peak");
   r.bytes_per_flow =
       static_cast<double>(r.slab_peak_bytes) / static_cast<double>(r.flows_per_wave);
   r.heap_bytes_per_flow =
@@ -380,13 +383,15 @@ void write_json(const std::string& path, bool quick, const PathsAbResult& paths,
                "  \"flows\": {\"waves\": %d, \"flows_per_wave\": %zu, "
                "\"flows_total\": %zu, \"slab_peak_bytes\": %llu, "
                "\"bytes_per_flow\": %.0f, \"heap_bytes_per_flow\": %.0f, "
-               "\"heap_allocs_per_flow\": %.2f, \"heap_allocs_warm\": %llu, "
+               "\"heap_allocs_per_flow\": %.2f, \"live_peak\": %llu, "
+               "\"heap_allocs_warm\": %llu, "
                "\"heap_allocs_final\": %llu, \"steady_state_clean\": %s, "
                "\"path_evictions\": %llu, \"path_revived\": %llu, "
                "\"slabs_reused\": %llu},\n",
                churn.waves, churn.flows_per_wave, churn.flows_total,
                static_cast<unsigned long long>(churn.slab_peak_bytes),
                churn.bytes_per_flow, churn.heap_bytes_per_flow, churn.heap_allocs_per_flow,
+               static_cast<unsigned long long>(churn.live_peak),
                static_cast<unsigned long long>(churn.heap_allocs_warm),
                static_cast<unsigned long long>(churn.heap_allocs_final),
                churn.steady_state_clean ? "true" : "false",
@@ -441,14 +446,15 @@ int main(int argc, char** argv) {
   };
   // Slab state per flow must stay bounded: 64 KiB flows carry ~16 packets of
   // PktMeta + two rings + two block bitmaps, well under this even after
-  // power-of-two size-class rounding. A regression that hangs per-packet
+  // size-class rounding. A regression that hangs per-packet
   // state off the flow (or stops releasing it) blows through the ceiling.
   constexpr double kBytesPerFlowCeiling = 16 * 1024.0;
-  // Every heap byte spawn asks for, per flow: sender, receiver, CC, LB,
-  // callbacks and the slab pools' cold-start growth (~2.5 KB at --quick,
-  // ~2.0 KB full). An LB that seeded its generator eagerly again would add
-  // ~2.5 KB and trip it.
-  constexpr double kHeapBytesPerFlowCeiling = 2816.0;
+  // Every heap byte spawn asks for, per flow: the 440 B record, host
+  // registrations, path acquires and the engines of flows that start at
+  // once (1063 B at --quick, where fixed costs spread over 1024 flows; 690 B
+  // full), plus 10 %. A per-flow heap object or closure at spawn again, or
+  // a record that grew, trips it.
+  const double kHeapBytesPerFlowCeiling = quick ? 1169.0 : 759.0;
 
   bench::print_header("bench_scale",
                       quick ? "memory + scale trajectory (quick)"
@@ -473,10 +479,12 @@ int main(int argc, char** argv) {
   if (wanted("flows")) {
     churn = run_churn(quick);
     std::printf("flows: %zu flows in %d waves, %.0f B/flow slab peak, spawn heap "
-                "%.0f B / %.2f allocs per flow, slab heap allocs %llu warm -> %llu "
-                "final (%s), %llu evictions / %llu revived / %llu slabs reused\n",
+                "%.0f B / %.2f allocs per flow, %llu engines live at peak, slab heap "
+                "allocs %llu warm -> %llu final (%s), %llu evictions / %llu revived / "
+                "%llu slabs reused\n",
                 churn.flows_total, churn.waves, churn.bytes_per_flow,
                 churn.heap_bytes_per_flow, churn.heap_allocs_per_flow,
+                static_cast<unsigned long long>(churn.live_peak),
                 static_cast<unsigned long long>(churn.heap_allocs_warm),
                 static_cast<unsigned long long>(churn.heap_allocs_final),
                 churn.steady_state_clean ? "clean" : "HEAP GREW AFTER WARM-UP",

@@ -131,7 +131,7 @@ int Experiment::resolve_shards(const ExperimentConfig& cfg) {
   return std::min(n, std::max(1, cfg.uno.num_dcs));
 }
 
-Experiment::Experiment(const ExperimentConfig& cfg) : cfg_(cfg) {
+Experiment::Experiment(const ExperimentConfig& cfg) : cfg_(cfg), stack_(*this) {
   const int nshards = resolve_shards(cfg_);
   for (int s = 0; s < nshards; ++s) eqs_.push_back(std::make_unique<EventQueue>());
 
@@ -249,19 +249,10 @@ FlowParams Experiment::flow_params(const FlowSpec& spec) const {
 }
 
 CcParams Experiment::cc_params(const FlowSpec& spec) const {
-  CcParams c;
-  c.base_rtt = spec.interdc
-                   ? cfg_.uno.inter_rtt_for(topo_->dc_of(spec.src), topo_->dc_of(spec.dst))
-                   : cfg_.uno.intra_rtt;
-  c.intra_rtt = cfg_.uno.intra_rtt;
-  c.line_rate = cfg_.uno.link_rate;
-  c.mtu = cfg_.uno.mtu;
-  c.flow_bytes = static_cast<std::int64_t>(spec.size_bytes);
-  return c;
+  return stack_.cc_params(flow_params(spec));
 }
 
-FlowSender& Experiment::spawn(const FlowSpec& spec,
-                              std::function<void(const FlowResult&)> extra) {
+FlowSender& Experiment::spawn(const FlowSpec& spec) {
   assert(spec.src != spec.dst);
   assert(spec.src < topo_->num_hosts() && spec.dst < topo_->num_hosts());
   assert(spec.interdc == topo_->is_interdc(spec.src, spec.dst));
@@ -274,48 +265,41 @@ FlowSender& Experiment::spawn(const FlowSpec& spec,
   // run on the main thread (before the run or between windows), so the path
   // store never sees concurrent access.
   const PathSet& paths = topo_->acquire_paths(spec.src, spec.dst, now());
-  const CcKind cck = spec.interdc ? cfg_.scheme.cc_inter : cfg_.scheme.cc_intra;
-  const LbKind lbk = spec.interdc ? cfg_.scheme.lb_inter : cfg_.scheme.lb_intra;
-  auto cc = make_cc(cck, cc_params(spec), cfg_.uno);
-  auto lb = make_lb(lbk, params.id, static_cast<std::uint16_t>(paths.size()),
-                    params.base_rtt, cfg_.uno, cfg_.seed);
-
   const int src_shard = shard_of(topo_->dc_of(spec.src));
   const int dst_shard = shard_of(topo_->dc_of(spec.dst));
-  FlowSender::CompletionCallback callback;
-  if (runner_) {
-    // Completion fires on the sender's shard thread; park the record and let
-    // the barrier-side drain apply it (and any extra callback, and the path
-    // release — the store is main-thread-only) in deterministic shard order.
-    callback = [this, src_shard, extra = std::move(extra)](const FlowResult& r) {
-      pending_completions_[src_shard].push_back({r, extra});
-    };
-  } else {
-    callback = [this, extra = std::move(extra)](const FlowResult& r) {
-      ++completed_;
-      fct_.add(r);
-      topo_->release_paths(r.src, r.dst, eqs_[0]->now());
-      if (extra) extra(r);
-    };
-  }
-  auto flow = std::make_unique<Flow>(*eqs_[src_shard], *eqs_[dst_shard],
-                                     topo_->host(spec.src), topo_->host(spec.dst),
-                                     params, &paths, std::move(cc), std::move(lb),
-                                     std::move(callback), pools_[src_shard].get(),
-                                     pools_[dst_shard].get());
+  Flow& flow = flows_.emplace_back(*eqs_[src_shard], *eqs_[dst_shard], topo_->host(spec.src),
+                                   topo_->host(spec.dst), params, &paths, stack_,
+                                   pools_[src_shard].get(), pools_[dst_shard].get());
   if (!tracers_.empty()) {
     const std::string cname = "flow:" + std::to_string(params.id);
     Tracer* ts = tracers_[src_shard].get();
     if (src_shard == dst_shard) {
-      flow->set_trace({ts, ts->add_component(cname)});
+      flow.set_trace({ts, ts->add_component(cname)});
     } else {
       Tracer* td = tracers_[dst_shard].get();
-      flow->set_trace({ts, ts->add_component(cname)}, {td, td->add_component(cname)});
+      flow.set_trace({ts, ts->add_component(cname)}, {td, td->add_component(cname)});
     }
   }
-  flow->start();
-  flows_.push_back(std::move(flow));
-  return flows_.back()->sender();
+  flow.start();
+  return flow.sender();
+}
+
+void Experiment::flow_completed(const FlowResult& r) {
+  if (runner_) {
+    // Completion fires on the sender's shard thread; park the record and let
+    // the barrier-side drain apply it (and the hook, and the path release —
+    // the store is main-thread-only) in deterministic shard order.
+    pending_completions_[shard_of(topo_->dc_of(r.src))].push_back(r);
+  } else {
+    apply_completion(r, eqs_[0]->now());
+  }
+}
+
+void Experiment::apply_completion(const FlowResult& r, Time now) {
+  ++completed_;
+  fct_.add(r);
+  topo_->release_paths(r.src, r.dst, now);
+  if (hook_) hook_(r);
 }
 
 void Experiment::spawn_all(const std::vector<FlowSpec>& specs) {
@@ -323,6 +307,10 @@ void Experiment::spawn_all(const std::vector<FlowSpec>& specs) {
 }
 
 void Experiment::snapshot_metrics(MetricRegistry& m) const {
+  snapshot_metrics(m, fct_.summarize_classes());
+}
+
+void Experiment::snapshot_metrics(MetricRegistry& m, const FctCollector::Classes& fct) const {
   // Which binary produced these numbers — the same id the sweep farm folds
   // into its cache keys, so exported metrics are attributable to a build.
   m.set_info("build", build_info_string());
@@ -403,7 +391,7 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   // state under churn shows acquires growing while heap_allocs stays flat —
   // the zero-allocation contract scale tests and bench_scale gate on.
   std::uint64_t sp_acq = 0, sp_rel = 0, sp_heap = 0;
-  std::size_t sp_live = 0, sp_peak = 0, sp_pooled = 0;
+  std::size_t sp_live = 0, sp_peak = 0, sp_pooled = 0, engines = 0, engines_peak = 0;
   for (const auto& pool : pools_) {
     sp_acq += pool->acquires();
     sp_rel += pool->releases();
@@ -411,7 +399,16 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
     sp_live += pool->live_bytes();
     sp_peak += pool->peak_live_bytes();
     sp_pooled += pool->pooled_bytes();
+    engines += pool->live_objects();
+    engines_peak += pool->peak_objects();
   }
+  // The footprint split (DESIGN.md §15): a record per spawned flow for the
+  // whole run, an engine per endpoint only while it is live. live_peak sums
+  // the per-shard peaks (the exact peak in a monolithic run).
+  m.set_counter("mem.flow.records", flows_.size());
+  m.set_counter("mem.flow.record_bytes", flows_.size() * sizeof(Flow));
+  m.set_counter("mem.flow.live_engines", engines);
+  m.set_counter("mem.flow.live_peak", engines_peak);
   m.set_counter("mem.flow.slab_acquires", sp_acq);
   m.set_counter("mem.flow.slab_releases", sp_rel);
   m.set_counter("mem.flow.slab_heap_allocs", sp_heap);
@@ -451,15 +448,12 @@ void Experiment::snapshot_metrics(MetricRegistry& m) const {
   m.set_counter("flows.fec_masked", fec_masked);
   m.set_counter("flows.bytes_completed", bytes);
 
-  const FctSummary all = fct_.summarize(FctCollector::Class::kAll);
-  const FctSummary intra = fct_.summarize(FctCollector::Class::kIntra);
-  const FctSummary inter = fct_.summarize(FctCollector::Class::kInter);
-  m.set_gauge("fct.all.mean_us", all.mean_us);
-  m.set_gauge("fct.all.p99_us", all.p99_us);
-  m.set_gauge("fct.intra.mean_us", intra.mean_us);
-  m.set_gauge("fct.intra.p99_us", intra.p99_us);
-  m.set_gauge("fct.inter.mean_us", inter.mean_us);
-  m.set_gauge("fct.inter.p99_us", inter.p99_us);
+  m.set_gauge("fct.all.mean_us", fct.all.mean_us);
+  m.set_gauge("fct.all.p99_us", fct.all.p99_us);
+  m.set_gauge("fct.intra.mean_us", fct.intra.mean_us);
+  m.set_gauge("fct.intra.p99_us", fct.intra.p99_us);
+  m.set_gauge("fct.inter.mean_us", fct.inter.mean_us);
+  m.set_gauge("fct.inter.p99_us", fct.inter.p99_us);
 
   if (!qcn_.empty()) m.set_counter("qcn.delivered", qcn_delivered());
   if (faults_) m.set_counter("faults.actions", faults_->actions());
@@ -479,23 +473,19 @@ ExperimentResult Experiment::result(Recorder recorder) const {
   r.events_dispatched = events_dispatched();
   r.fabric_drops = topo_->total_drops();
   r.fabric_trims = topo_->total_trims();
-  r.fct_all = fct_.summarize(FctCollector::Class::kAll);
-  r.fct_intra = fct_.summarize(FctCollector::Class::kIntra);
-  r.fct_inter = fct_.summarize(FctCollector::Class::kInter);
+  const FctCollector::Classes fct = fct_.summarize_classes();
+  r.fct_all = fct.all;
+  r.fct_intra = fct.intra;
+  r.fct_inter = fct.inter;
   r.flows = fct_.results();
-  snapshot_metrics(r.metrics);
+  snapshot_metrics(r.metrics, fct);
   r.recorder = std::move(recorder);
   return r;
 }
 
 void Experiment::drain_completions() {
   for (auto& vec : pending_completions_) {
-    for (PendingCompletion& pc : vec) {
-      ++completed_;
-      fct_.add(pc.r);
-      topo_->release_paths(pc.r.src, pc.r.dst, runner_->now());
-      if (pc.extra) pc.extra(pc.r);
-    }
+    for (const FlowResult& r : vec) apply_completion(r, runner_->now());
     vec.clear();
   }
 }

@@ -129,12 +129,16 @@ class Experiment {
   const ExperimentConfig& config() const { return cfg_; }
   FctCollector& fct() { return fct_; }
 
-  /// Create (and start) a flow for `spec`. `extra` is invoked on completion
-  /// after the FCT collector records the result.
-  FlowSender& spawn(const FlowSpec& spec,
-                    std::function<void(const FlowResult&)> extra = nullptr);
+  /// Create a flow for `spec`: write its record, and build its engine now if
+  /// spec.start_time has come (else its start event will).
+  FlowSender& spawn(const FlowSpec& spec);
   /// Spawn every spec in the list.
   void spawn_all(const std::vector<FlowSpec>& specs);
+  /// One hook for every completion of the run, invoked after the FCT
+  /// collector records the result: inline in a monolithic run, at the next
+  /// barrier (in shard order) in a sharded one.
+  using CompletionHook = std::function<void(const FlowResult&)>;
+  void set_completion_hook(CompletionHook hook) { hook_ = std::move(hook); }
 
   std::size_t flows_spawned() const { return flows_.size(); }
   std::size_t flows_completed() const { return completed_; }
@@ -149,7 +153,7 @@ class Experiment {
   FlowParams flow_params(const FlowSpec& spec) const;
   CcParams cc_params(const FlowSpec& spec) const;
 
-  FlowSender& sender(std::size_t i) { return flows_[i]->sender(); }
+  FlowSender& sender(std::size_t i) { return flows_[i].sender(); }
   /// Annulus dispatcher for DC 0, or null unless the scheme enables the
   /// add-on. Dispatchers are per-DC (each lives entirely inside one shard);
   /// use qcn_delivered() for the run-wide total.
@@ -189,13 +193,31 @@ class Experiment {
   /// Move per-shard completion records into fct_/completed_ (barrier-side;
   /// no-op monolithic, where completions apply inline).
   void drain_completions();
+  /// A sender completed (on its shard's thread): apply it now when
+  /// monolithic, else park it for the next barrier.
+  void flow_completed(const FlowResult& r);
+  /// Record a completion, release its path pair, run the hook.
+  void apply_completion(const FlowResult& r, Time now);
+  void snapshot_metrics(MetricRegistry& m, const FctCollector::Classes& fct) const;
+
+  /// The scheme's in-place CC/LB builder, reporting completions back here.
+  class Stack final : public SchemeStack {
+   public:
+    explicit Stack(Experiment& ex)
+        : SchemeStack(ex.cfg_.scheme, ex.cfg_.uno, ex.cfg_.seed), ex_(ex) {}
+    void flow_completed(const FlowResult& r) override { ex_.flow_completed(r); }
+
+   private:
+    Experiment& ex_;
+  };
 
   ExperimentConfig cfg_;
+  Stack stack_;
   std::vector<std::unique_ptr<EventQueue>> eqs_;  // one per shard
-  /// One flow-state slab pool per shard (core/slab.hpp). Acquires happen on
-  /// the main thread while shard threads are parked (flows spawn before the
-  /// run or between windows); releases happen on the owning shard's thread
-  /// inside a window — never concurrently with each other or with acquires.
+  /// One flow-engine slab pool per shard (core/slab.hpp). Inside a window
+  /// only the owning shard's thread touches it (engines start and retire
+  /// there); between windows only the main thread does (a spawn whose start
+  /// time has come builds its engine at once).
   std::vector<std::unique_ptr<SlabPool>> pools_;
   std::unique_ptr<InterDcTopology> topo_;
   std::unique_ptr<ShardRunner> runner_;  // null when monolithic
@@ -204,14 +226,13 @@ class Experiment {
   std::unique_ptr<FaultInjector> faults_;
   std::vector<std::unique_ptr<Tracer>> tracers_;  // one per shard (empty w/o trace)
   mutable std::unique_ptr<Tracer> merged_tracer_;  // sharded tracer() view
-  std::vector<std::unique_ptr<Flow>> flows_;
+  /// Flow records, spawn order; destroyed before the pools their engines
+  /// return to.
+  ChunkedVec<Flow> flows_;
+  CompletionHook hook_;
   /// Sender-side completion records parked by shard threads during a window,
   /// drained single-threaded at barriers. Indexed by the sender's shard.
-  struct PendingCompletion {
-    FlowResult r;
-    std::function<void(const FlowResult&)> extra;
-  };
-  std::vector<std::vector<PendingCompletion>> pending_completions_;
+  std::vector<std::vector<FlowResult>> pending_completions_;
   std::size_t completed_ = 0;
   std::uint64_t next_flow_id_ = 1;
 };

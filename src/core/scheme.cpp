@@ -1,5 +1,8 @@
 #include "core/scheme.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "transport/bbr.hpp"
 #include "transport/dctcp.hpp"
 #include "transport/gemini.hpp"
@@ -92,8 +95,38 @@ SchemeSpec SchemeSpec::with_spray() const {
   return s;
 }
 
-std::unique_ptr<CongestionControl> make_cc(CcKind kind, const CcParams& cc,
-                                           const UnoConfig& cfg) {
+namespace {
+
+// One switch per closed set of kinds, shared by the heap builders (make_cc,
+// make_lb) and the in-place ones (SchemeStack): a Maker receives the
+// concrete type and its constructor arguments.
+
+template <typename Base>
+struct OnHeap {
+  template <typename T, typename... Args>
+  std::unique_ptr<Base> make(Args&&... args) const {
+    return std::make_unique<T>(std::forward<Args>(args)...);
+  }
+};
+
+template <typename Base, std::size_t kBytes>
+struct InPlace {
+  void* where;
+  template <typename T, typename... Args>
+  Base* make(Args&&... args) const {
+    static_assert(sizeof(T) <= kBytes && alignof(T) <= 16, "grow the in-place storage");
+    return ::new (where) T(std::forward<Args>(args)...);
+  }
+};
+
+constexpr std::size_t kCcBytes = std::max({sizeof(UnoCc), sizeof(GeminiCc), sizeof(MprdmaCc),
+                                           sizeof(BbrCc), sizeof(DctcpCc), sizeof(SwiftCc)});
+constexpr std::size_t kLbBytes = std::max(
+    {sizeof(EcmpLb), sizeof(RpsLb), sizeof(PlbLb), sizeof(RepsLb), sizeof(UnoLb)});
+
+template <typename Maker>
+auto make_cc_with(const Maker& m, CcKind kind, const CcParams& cc, const UnoConfig& cfg)
+    -> decltype(m.template make<DctcpCc>(cc)) {
   switch (kind) {
     case CcKind::kUno: {
       UnoCc::Params p;
@@ -106,46 +139,85 @@ std::unique_ptr<CongestionControl> make_cc(CcKind kind, const CcParams& cc,
       // 0 -> intra RTT (unified); otherwise react at the flow's own RTT,
       // which is exactly the Gemini granularity the paper argues against.
       p.epoch_period = cfg.unocc_unified_epoch ? 0 : cc.base_rtt;
-      return std::make_unique<UnoCc>(cc, p);
+      return m.template make<UnoCc>(cc, p);
     }
     case CcKind::kGemini:
-      return std::make_unique<GeminiCc>(cc, GeminiCc::Params{});
+      return m.template make<GeminiCc>(cc, GeminiCc::Params{});
     case CcKind::kMprdma:
-      return std::make_unique<MprdmaCc>(cc);
+      return m.template make<MprdmaCc>(cc);
     case CcKind::kBbr:
-      return std::make_unique<BbrCc>(cc);
+      return m.template make<BbrCc>(cc);
     case CcKind::kDctcp:
-      return std::make_unique<DctcpCc>(cc);
+      return m.template make<DctcpCc>(cc);
     case CcKind::kSwift:
-      return std::make_unique<SwiftCc>(cc);
+      return m.template make<SwiftCc>(cc);
   }
   return nullptr;
+}
+
+template <typename Maker>
+auto make_lb_with(const Maker& m, LbKind kind, std::uint64_t flow_id, std::uint16_t num_paths,
+                  Time base_rtt, const UnoConfig& cfg, std::uint64_t seed, SlabPool* pool)
+    -> decltype(m.template make<EcmpLb>(flow_id, num_paths)) {
+  switch (kind) {
+    case LbKind::kEcmp:
+      return m.template make<EcmpLb>(flow_id, num_paths);
+    case LbKind::kRps:
+      return m.template make<RpsLb>(num_paths, Rng::stream(seed, flow_id * 2 + 1));
+    case LbKind::kPlb: {
+      PlbLb::Params p;
+      p.round_duration = base_rtt;
+      return m.template make<PlbLb>(p, flow_id, num_paths, Rng::stream(seed, flow_id * 2 + 1));
+    }
+    case LbKind::kReps:
+      return m.template make<RepsLb>(num_paths, Rng::stream(seed, flow_id * 2 + 1));
+    case LbKind::kUnoLb: {
+      UnoLb::Params p;
+      p.num_subflows = cfg.subflows();
+      p.base_rtt = base_rtt;
+      return m.template make<UnoLb>(p, num_paths, Rng::stream(seed, flow_id * 2 + 1), pool);
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::unique_ptr<CongestionControl> make_cc(CcKind kind, const CcParams& cc,
+                                           const UnoConfig& cfg) {
+  return make_cc_with(OnHeap<CongestionControl>{}, kind, cc, cfg);
 }
 
 std::unique_ptr<LoadBalancer> make_lb(LbKind kind, std::uint64_t flow_id,
                                       std::uint16_t num_paths, Time base_rtt,
                                       const UnoConfig& cfg, std::uint64_t seed) {
-  switch (kind) {
-    case LbKind::kEcmp:
-      return std::make_unique<EcmpLb>(flow_id, num_paths);
-    case LbKind::kRps:
-      return std::make_unique<RpsLb>(num_paths, Rng::stream(seed, flow_id * 2 + 1));
-    case LbKind::kPlb: {
-      PlbLb::Params p;
-      p.round_duration = base_rtt;
-      return std::make_unique<PlbLb>(p, flow_id, num_paths,
-                                     Rng::stream(seed, flow_id * 2 + 1));
-    }
-    case LbKind::kReps:
-      return std::make_unique<RepsLb>(num_paths, Rng::stream(seed, flow_id * 2 + 1));
-    case LbKind::kUnoLb: {
-      UnoLb::Params p;
-      p.num_subflows = cfg.subflows();
-      p.base_rtt = base_rtt;
-      return std::make_unique<UnoLb>(p, num_paths, Rng::stream(seed, flow_id * 2 + 1));
-    }
-  }
-  return nullptr;
+  return make_lb_with(OnHeap<LoadBalancer>{}, kind, flow_id, num_paths, base_rtt, cfg, seed,
+                      nullptr);
+}
+
+SchemeStack::SchemeStack(const SchemeSpec& scheme, const UnoConfig& cfg, std::uint64_t seed)
+    : FlowStack(kCcBytes, kLbBytes), scheme_(scheme), cfg_(cfg), seed_(seed) {}
+
+CcParams SchemeStack::cc_params(const FlowParams& p) const {
+  CcParams c;
+  c.base_rtt = p.base_rtt;
+  c.intra_rtt = cfg_.intra_rtt;
+  c.line_rate = cfg_.link_rate;
+  c.mtu = cfg_.mtu;
+  c.flow_bytes = static_cast<std::int64_t>(p.size_bytes);
+  return c;
+}
+
+CongestionControl* SchemeStack::build_cc(void* where, const FlowParams& p) const {
+  return make_cc_with(InPlace<CongestionControl, kCcBytes>{where},
+                      p.interdc ? scheme_.cc_inter : scheme_.cc_intra, cc_params(p), cfg_);
+}
+
+LoadBalancer* SchemeStack::build_lb(void* where, const FlowParams& p, std::uint16_t num_paths,
+                                    SlabPool* pool) const {
+  return make_lb_with(InPlace<LoadBalancer, kLbBytes>{where},
+                      p.interdc ? scheme_.lb_inter : scheme_.lb_intra, p.id, num_paths,
+                      p.base_rtt, cfg_, seed_, pool);
 }
 
 }  // namespace uno

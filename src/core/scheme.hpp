@@ -61,4 +61,24 @@ std::unique_ptr<LoadBalancer> make_lb(LbKind kind, std::uint64_t flow_id,
                                       std::uint16_t num_paths, Time base_rtt,
                                       const UnoConfig& cfg, std::uint64_t seed);
 
+/// A scheme as a FlowStack: builds each flow's CC and LB in place in its
+/// engine (the same kinds and arguments make_cc/make_lb use, picked by
+/// FlowParams::interdc), so a flow's transport stack costs no heap
+/// allocation. Completions are ignored unless a subclass listens.
+class SchemeStack : public FlowStack {
+ public:
+  SchemeStack(const SchemeSpec& scheme, const UnoConfig& cfg, std::uint64_t seed);
+
+  CongestionControl* build_cc(void* where, const FlowParams& p) const override;
+  LoadBalancer* build_lb(void* where, const FlowParams& p, std::uint16_t num_paths,
+                         SlabPool* pool) const override;
+  /// The parameters a flow's congestion controller is built with.
+  CcParams cc_params(const FlowParams& p) const;
+
+ private:
+  SchemeSpec scheme_;
+  UnoConfig cfg_;
+  std::uint64_t seed_;
+};
+
 }  // namespace uno

@@ -22,6 +22,14 @@ BlockFrame::BlockFrame(std::uint64_t size_bytes, std::int64_t mtu, bool ec_enabl
   marked_.assign(total_packets_, pool);
 }
 
+std::uint64_t BlockFrame::packets_for(std::uint64_t size_bytes, std::int64_t mtu,
+                                      bool ec_enabled, int data_shards, int parity_shards) {
+  const std::uint64_t ndata =
+      std::max<std::uint64_t>(1, (size_bytes + mtu - 1) / static_cast<std::uint64_t>(mtu));
+  const std::uint64_t nblocks = (ndata + data_shards - 1) / data_shards;
+  return ndata + nblocks * static_cast<std::uint64_t>(ec_enabled ? parity_shards : 0);
+}
+
 int BlockFrame::data_shards_in_block(std::uint32_t b) const {
   assert(b < nblocks_);
   const std::uint64_t remaining = ndata_ - static_cast<std::uint64_t>(b) * x_;

@@ -33,6 +33,10 @@ class BlockFrame {
   void release() { marked_.release(); }
 
   std::uint64_t total_packets() const { return total_packets_; }
+  /// total_packets() of the frame these arguments would build, without
+  /// building it (no bitmap).
+  static std::uint64_t packets_for(std::uint64_t size_bytes, std::int64_t mtu,
+                                   bool ec_enabled, int data_shards, int parity_shards);
   std::uint64_t data_packets() const { return ndata_; }
   std::uint32_t num_blocks() const { return nblocks_; }
   bool ec_enabled() const { return y_ > 0; }

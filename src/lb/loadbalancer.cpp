@@ -87,18 +87,18 @@ void RepsLb::on_ack(std::uint16_t entropy, bool ecn, Time) {
   if (!ecn && cache_.size() < cache_limit_) cache_.push_back(entropy);
 }
 
-UnoLb::UnoLb(const Params& params, std::uint16_t num_paths, Rng rng)
+UnoLb::UnoLb(const Params& params, std::uint16_t num_paths, Rng rng, SlabPool* pool)
     : params_(params), num_paths_(num_paths), rng_(std::move(rng)) {
   assert(params_.base_rtt > 0);
   if (params_.freshness_window == 0) params_.freshness_window = 2 * params_.base_rtt;
   const int n = std::min<int>(params_.num_subflows, num_paths_);
-  subflow_entropy_.resize(std::max(n, 1));
+  subflow_entropy_.assign(static_cast<std::size_t>(std::max(n, 1)), 0, pool);
   // Initial assignment: consecutive path ids. The topology arranges inter-DC
   // path sets so consecutive ids cycle over distinct border links, giving a
   // block's packets maximal WAN-link diversity from the start.
   for (std::size_t i = 0; i < subflow_entropy_.size(); ++i)
     subflow_entropy_[i] = static_cast<std::uint16_t>(i % num_paths_);
-  last_ack_.assign(num_paths_, -1);
+  last_ack_.assign(num_paths_, -1, pool);
 }
 
 std::uint16_t UnoLb::pick(std::uint64_t) {

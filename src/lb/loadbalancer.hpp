@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/slab.hpp"
 #include "obs/trace.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -138,7 +139,9 @@ class UnoLb final : public LoadBalancer {
     Time freshness_window = 0;  // "recently received ACKs"; default 2*base_rtt
   };
 
-  UnoLb(const Params& params, std::uint16_t num_paths, Rng rng);
+  /// With a `pool`, the per-subflow and per-path arrays are drawn from that
+  /// slab pool (and returned to it on destruction) instead of the heap.
+  UnoLb(const Params& params, std::uint16_t num_paths, Rng rng, SlabPool* pool = nullptr);
 
   std::uint16_t pick(std::uint64_t seq) override;
   void on_ack(std::uint16_t entropy, bool ecn, Time now) override;
@@ -158,8 +161,8 @@ class UnoLb final : public LoadBalancer {
   Params params_;
   std::uint16_t num_paths_;
   Rng rng_;
-  std::vector<std::uint16_t> subflow_entropy_;  // subflow slot -> path id
-  std::vector<Time> last_ack_;                  // per path id
+  SlabVec<std::uint16_t> subflow_entropy_;  // subflow slot -> path id
+  SlabVec<Time> last_ack_;                  // per path id
   int next_subflow_ = 0;
   Time last_reroute_ = -1;
   std::uint64_t reroutes_ = 0;

@@ -369,14 +369,69 @@ class EventQueue {
   std::uint64_t clamped_ = 0;
 };
 
-/// A cancellable, re-armable one-shot timer built on the event queue.
+/// The state of a cancellable, re-armable one-shot timer, without a handler
+/// of its own: the owner schedules it against itself and routes the tags
+/// back through fire()/stale().
 ///
-/// Cancellation is lazy: the pending heap entry is superseded via a 64-bit
-/// generation counter carried in the event tag, so cancel/rearm are O(1).
-/// The queue's stale accounting (note_stale / event_stale) lets compaction
-/// physically remove superseded entries when they pile up. The generation
-/// is 64-bit precisely so the tag channel can never wrap: 2^64 rearms is
-/// unreachable (a simulation doing 10^9 rearms/sec would need ~585 years).
+/// Cancellation is lazy: the pending entry is superseded via a generation
+/// counter carried in the event tag, so cancel/rearm are O(1). The queue's
+/// stale accounting (note_stale / event_stale) lets compaction physically
+/// remove superseded entries when they pile up. The low kKindBits of the tag
+/// name the owner's event kind, so one handler can multiplex a timer with
+/// its other wakeups; the remaining 62 bits of generation can never wrap
+/// (2^62 rearms at 10^9/s would take ~146 years).
+///
+/// Embedding this instead of a Timer saves a registry slot and ~56 bytes per
+/// timer — the difference that lets a completed flow keep its timers'
+/// bookkeeping without keeping its transport state (transport/flow.hpp).
+class TagTimer {
+ public:
+  static constexpr int kKindBits = 2;
+  static constexpr std::uint64_t kKindMask = (1u << kKindBits) - 1;
+  static std::uint64_t kind_of(std::uint64_t tag) { return tag & kKindMask; }
+
+  /// (Re)arm to call `owner->on_event(tag)` at absolute time `t`, where
+  /// kind_of(tag) == `kind`.
+  void arm_at(EventQueue& eq, EventHandler* owner, std::uint64_t kind, Time t) {
+    if (armed_) eq.note_stale();  // the outstanding entry is now superseded
+    ++generation_;
+    armed_ = true;
+    deadline_ = t;
+    eq.schedule_at(t, owner, (generation_ << kKindBits) | kind);
+  }
+
+  void cancel(EventQueue& eq) {
+    if (armed_) eq.note_stale();
+    ++generation_;
+    armed_ = false;
+  }
+
+  /// A wakeup carrying `tag` popped. True if it is the live arm (the timer
+  /// disarms and the owner should act); false for a superseded or cancelled
+  /// arm, which is reported to the queue as a stale no-op.
+  bool fire(EventQueue& eq, std::uint64_t tag) {
+    if (stale(tag)) {
+      eq.note_stale_consumed();
+      return false;
+    }
+    armed_ = false;
+    return true;
+  }
+
+  bool stale(std::uint64_t tag) const {
+    return (tag >> kKindBits) != generation_ || !armed_;
+  }
+  bool armed() const { return armed_; }
+  Time deadline() const { return deadline_; }
+
+ private:
+  std::uint64_t generation_ = 0;
+  Time deadline_ = 0;
+  bool armed_ = false;
+};
+
+/// A cancellable, re-armable one-shot timer built on the event queue: a
+/// TagTimer that is its own handler and forwards a fixed tag to `target`.
 class Timer : public EventHandler {
  public:
   /// `tag` is forwarded to `target->on_event(tag)` when the timer fires.
@@ -384,45 +439,23 @@ class Timer : public EventHandler {
       : eq_(eq), target_(target), tag_(tag) {}
 
   /// (Re)arm to fire at absolute time `t`.
-  void arm_at(Time t) {
-    if (armed_) eq_.note_stale();  // the outstanding entry is now superseded
-    ++generation_;
-    armed_ = true;
-    deadline_ = t;
-    eq_.schedule_at(t, this, generation_);
-  }
-
+  void arm_at(Time t) { state_.arm_at(eq_, this, 0, t); }
   void arm_in(Time delay) { arm_at(eq_.now() + delay); }
+  void cancel() { state_.cancel(eq_); }
 
-  void cancel() {
-    if (armed_) eq_.note_stale();
-    ++generation_;
-    armed_ = false;
+  bool armed() const { return state_.armed(); }
+  Time deadline() const { return state_.deadline(); }
+
+  void on_event(std::uint64_t tag) override {
+    if (state_.fire(eq_, tag)) target_->on_event(tag_);
   }
-
-  bool armed() const { return armed_; }
-  Time deadline() const { return deadline_; }
-
-  void on_event(std::uint64_t gen) override {
-    if (gen != generation_ || !armed_) {  // stale or cancelled
-      eq_.note_stale_consumed();
-      return;
-    }
-    armed_ = false;
-    target_->on_event(tag_);
-  }
-
-  bool event_stale(std::uint64_t gen) const override {
-    return gen != generation_ || !armed_;
-  }
+  bool event_stale(std::uint64_t tag) const override { return state_.stale(tag); }
 
  private:
   EventQueue& eq_;
   EventHandler* target_;
   std::uint64_t tag_;
-  std::uint64_t generation_ = 0;
-  bool armed_ = false;
-  Time deadline_ = 0;
+  TagTimer state_;
 };
 
 }  // namespace uno

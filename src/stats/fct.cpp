@@ -6,17 +6,56 @@
 namespace uno {
 
 double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
   std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * (static_cast<double>(values.size()) - 1);
+  return percentile_sorted(values, p);
+}
+
+double percentile_sorted(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const double rank = p / 100.0 * (static_cast<double>(sorted.size()) - 1);
   const auto lo = static_cast<std::size_t>(std::floor(rank));
   const auto hi = static_cast<std::size_t>(std::ceil(rank));
   const double t = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - t) + values[hi] * t;
+  return sorted[lo] * (1.0 - t) + sorted[hi] * t;
 }
 
+namespace {
+
+/// One class's samples, in result order until finish() sorts them.
+struct ClassSamples {
+  std::vector<double> fcts;       // us
+  std::vector<double> slowdowns;  // FCT / ideal
+
+  /// Sums run in result order (as a naive pass would), then each vector is
+  /// sorted once for every order statistic.
+  FctSummary finish() {
+    FctSummary s;
+    s.count = fcts.size();
+    if (fcts.empty()) return s;
+    double sum = 0;
+    for (double f : fcts) sum += f;
+    s.mean_us = sum / static_cast<double>(fcts.size());
+    std::sort(fcts.begin(), fcts.end());
+    s.max_us = fcts.back();
+    s.p50_us = percentile_sorted(fcts, 50);
+    s.p99_us = percentile_sorted(fcts, 99);
+    if (!slowdowns.empty()) {
+      double ss = 0;
+      for (double v : slowdowns) ss += v;
+      s.mean_slowdown = ss / static_cast<double>(slowdowns.size());
+      std::sort(slowdowns.begin(), slowdowns.end());
+      s.p99_slowdown = percentile_sorted(slowdowns, 99);
+    }
+    return s;
+  }
+};
+
+}  // namespace
+
 void FctCollector::canonicalize() {
-  std::stable_sort(results_.begin(), results_.end(),
+  // (finish time, id) is a total order — ids are unique — so an unstable
+  // sort gives the same sequence a stable one would.
+  std::sort(results_.begin(), results_.end(),
                    [](const FlowResult& a, const FlowResult& b) {
                      const Time fa = a.start_time + a.completion_time;
                      const Time fb = b.start_time + b.completion_time;
@@ -39,34 +78,39 @@ FctSummary FctCollector::summarize(Class cls) const {
 }
 
 FctSummary FctCollector::summarize_if(const std::function<bool(const FlowResult&)>& pred) const {
-  std::vector<double> fcts;
-  std::vector<double> slowdowns;
+  ClassSamples c;
   for (const FlowResult& r : results_) {
     if (!pred(r)) continue;
-    fcts.push_back(to_microseconds(r.completion_time));
+    c.fcts.push_back(to_microseconds(r.completion_time));
     if (ideal_fn_) {
       const Time ideal = ideal_fn_(r);
       if (ideal > 0)
-        slowdowns.push_back(static_cast<double>(r.completion_time) /
-                            static_cast<double>(ideal));
+        c.slowdowns.push_back(static_cast<double>(r.completion_time) /
+                              static_cast<double>(ideal));
     }
   }
-  FctSummary s;
-  s.count = fcts.size();
-  if (fcts.empty()) return s;
-  double sum = 0;
-  for (double f : fcts) sum += f;
-  s.mean_us = sum / static_cast<double>(fcts.size());
-  s.max_us = *std::max_element(fcts.begin(), fcts.end());
-  s.p50_us = percentile(fcts, 50);
-  s.p99_us = percentile(fcts, 99);
-  if (!slowdowns.empty()) {
-    double ss = 0;
-    for (double v : slowdowns) ss += v;
-    s.mean_slowdown = ss / static_cast<double>(slowdowns.size());
-    s.p99_slowdown = percentile(slowdowns, 99);
+  return c.finish();
+}
+
+FctCollector::Classes FctCollector::summarize_classes() const {
+  ClassSamples all, intra, inter;
+  all.fcts.reserve(results_.size());
+  if (ideal_fn_) all.slowdowns.reserve(results_.size());
+  for (const FlowResult& r : results_) {
+    ClassSamples& cls = r.interdc ? inter : intra;
+    const double fct = to_microseconds(r.completion_time);
+    all.fcts.push_back(fct);
+    cls.fcts.push_back(fct);
+    if (ideal_fn_) {
+      const Time ideal = ideal_fn_(r);
+      if (ideal > 0) {
+        const double sd = static_cast<double>(r.completion_time) / static_cast<double>(ideal);
+        all.slowdowns.push_back(sd);
+        cls.slowdowns.push_back(sd);
+      }
+    }
   }
-  return s;
+  return {all.finish(), intra.finish(), inter.finish()};
 }
 
 FctCollector::IdealFn FctCollector::pipe_ideal(Bandwidth rate, Time intra_rtt, Time inter_rtt) {

@@ -32,10 +32,6 @@ class FctCollector {
   explicit FctCollector(IdealFn ideal_fn = nullptr) : ideal_fn_(std::move(ideal_fn)) {}
 
   void add(const FlowResult& r) { results_.push_back(r); }
-  /// Completion callback to hand to flow senders.
-  FlowSender::CompletionCallback callback() {
-    return [this](const FlowResult& r) { add(r); };
-  }
 
   std::size_t count() const { return results_.size(); }
   const std::vector<FlowResult>& results() const { return results_; }
@@ -49,6 +45,12 @@ class FctCollector {
 
   enum class Class { kAll, kIntra, kInter };
   FctSummary summarize(Class cls = Class::kAll) const;
+  /// All three classes in one pass over the results, each equal to its
+  /// summarize(cls) bit for bit.
+  struct Classes {
+    FctSummary all, intra, inter;
+  };
+  Classes summarize_classes() const;
   /// Summary over an arbitrary subset.
   FctSummary summarize_if(const std::function<bool(const FlowResult&)>& pred) const;
 
@@ -61,7 +63,10 @@ class FctCollector {
   std::vector<FlowResult> results_;
 };
 
-/// p-th percentile (p in [0,100]) of a copy of `values` (nearest-rank).
+/// p-th percentile (p in [0,100]) of a copy of `values`, interpolating
+/// linearly between the two nearest ranks.
 double percentile(std::vector<double> values, double p);
+/// The same, of values already sorted ascending (no copy, no sort).
+double percentile_sorted(const std::vector<double>& sorted, double p);
 
 }  // namespace uno

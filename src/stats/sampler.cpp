@@ -83,8 +83,8 @@ void CwndSampler::on_event(std::uint64_t) {
   if (!running_) return;
   const Time now = eq_.now();
   for (std::size_t i = 0; i < flows_.size(); ++i)
-    series_[i].add(now, flows_[i]->done() ? 0.0
-                                          : static_cast<double>(flows_[i]->cc().cwnd()));
+    series_[i].add(now, flows_[i]->live() ? static_cast<double>(flows_[i]->cc().cwnd())
+                                          : 0.0);
   eq_.schedule_in(period_, this);
 }
 

@@ -5,60 +5,154 @@
 
 namespace uno {
 
-// ---------------------------------------------------------------------------
-// FlowSender
-// ---------------------------------------------------------------------------
+namespace {
 
-FlowSender::FlowSender(EventQueue& eq, const FlowParams& params, const PathSet* paths,
-                       std::unique_ptr<CongestionControl> cc, std::unique_ptr<LoadBalancer> lb,
-                       CompletionCallback on_complete, SlabPool* pool)
-    : eq_(eq),
-      params_(params),
-      paths_(paths),
-      pool_(pool),
-      cc_(std::move(cc)),
-      lb_(std::move(lb)),
-      on_complete_(std::move(on_complete)),
-      frame_(params.size_bytes, params.mtu, params.ec_enabled, params.ec_data,
-             params.ec_parity, pool),
-      rto_timer_(eq, this, kTagRto) {
-  assert(paths_ != nullptr && !paths_->empty());
-  assert(cc_ != nullptr && lb_ != nullptr);
-  meta_.assign(frame_.total_packets(), PktMeta{}, pool_);
-  if (params_.verify_payload && frame_.ec_enabled())
-    payload_store_ = std::make_unique<PayloadStore>(params_.id, frame_,
-                                                    params_.payload_shard_bytes);
+// Engines are whole objects on their shard's slab pool (counted there as
+// live objects), or on the heap for endpoints built without a pool.
+void* acquire_engine(SlabPool* pool, std::size_t bytes) {
+  return pool != nullptr ? pool->acquire_object(bytes) : ::operator new(bytes);
 }
 
-void FlowSender::start() {
-  assert(!started_);
-  if (params_.start_time <= eq_.now()) {
-    started_ = true;
+void release_engine(SlabPool* pool, void* p, std::size_t bytes) {
+  if (pool != nullptr)
+    pool->release_object(p, bytes);
+  else
+    ::operator delete(p);
+}
+
+constexpr std::size_t align16(std::size_t n) { return (n + 15) & ~std::size_t{15}; }
+
+/// A record carries no name string: names are rare (traces, assertions), so
+/// they are built into per-thread scratch, valid until the next call.
+const std::string& flow_name(std::uint64_t id, const char* end) {
+  thread_local std::string name;
+  name = "flow" + std::to_string(id) + end;
+  return name;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// FlowSender::Engine — everything a sender needs only while it is live.
+// ---------------------------------------------------------------------------
+
+struct FlowSender::Payload {
+  explicit Payload(const FlowParams& p)
+      : frame(p.size_bytes, p.mtu, p.ec_enabled, p.ec_data, p.ec_parity),
+        store(p.id, frame, p.payload_shard_bytes) {}
+  BlockFrame frame;  // the store's framing, outliving the engine's
+  PayloadStore store;
+};
+
+class FlowSender::Engine {
+ public:
+  /// One pool block holds the engine, then the CC, then the LB, each built
+  /// in place by the flow stack.
+  static std::size_t cc_offset() { return align16(sizeof(Engine)); }
+  static std::size_t lb_offset(const FlowStack& st) { return cc_offset() + align16(st.cc_bytes()); }
+  static std::size_t block_bytes(const FlowStack& st) { return lb_offset(st) + st.lb_bytes(); }
+
+  Engine(FlowSender& s, unsigned char* block);
+  ~Engine() {
+    cc_->~CongestionControl();
+    lb_->~LoadBalancer();
+  }
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+  CongestionControl& cc() { return *cc_; }
+  LoadBalancer& lb() { return *lb_; }
+  std::int64_t bytes_in_flight() const { return bytes_in_flight_; }
+  bool rto_stale(std::uint64_t tag) const { return rto_.stale(tag); }
+
+  void try_send();
+  void on_pacing() {
+    pacing_timer_armed_ = false;
     try_send();
-  } else {
-    eq_.schedule_at(params_.start_time, this, kTagStart);
   }
+  void on_rto_event(std::uint64_t tag) {
+    if (rto_.fire(eq_, tag)) on_rto();
+  }
+  void handle_ack(const Packet& ack);
+  void handle_nack(const Packet& nack);
+  void handle_trim_nack(const Packet& nack);
+  void handle_qcn() { cc_->on_qcn(eq_.now()); }
+
+  /// Final tallies, read by FlowSender::complete() before recycling.
+  std::uint64_t count_lost() const;
+  void cancel_rto() { rto_.cancel(eq_); }
+
+ private:
+  enum class PktState : std::uint8_t { kUnsent, kInflight, kLost, kAcked };
+
+  bool send_packet(std::uint64_t seq, bool is_retransmit);
+  /// Time-based (RACK-style) loss detection: packets sent a reordering
+  /// window before the newest-acked packet are declared lost without
+  /// waiting for the RTO.
+  void detect_losses();
+  /// Forward a loss indication to the CC, at most once per base RTT.
+  void signal_loss_to_cc();
+  void on_rto();
+  /// Send time of the oldest authoritative in-flight transmission, or -1.
+  Time oldest_inflight_sent();
+  /// Next sequence due for (re)transmission, or -1 when nothing is pending.
+  std::int64_t next_seq_to_send();
+  void arm_rto_at(Time t) { rto_.arm_at(eq_, &s_, kTagRto, t); }
+
+  FlowSender& s_;
+  EventQueue& eq_;
+  const FlowParams& params_;
+  const PathSet* paths_;
+  CongestionControl* cc_;
+  LoadBalancer* lb_;
+
+  BlockFrame frame_;
+  /// Per-seq transmission record, packed into 16 bytes so the per-ACK path
+  /// (state check, send-time compare, path blame) touches one cache line
+  /// instead of three parallel arrays.
+  struct PktMeta {
+    Time sent = -1;             // last transmission time (-1 = never sent)
+    std::uint16_t entropy = 0;  // path the seq was last sent on
+    PktState state = PktState::kUnsent;
+  };
+  SlabVec<PktMeta> meta_;
+  PodRing<std::uint64_t> rtx_queue_;
+  /// One transmission in time order (see send_order_). An entry is
+  /// authoritative only while meta_[seq].sent still equals its timestamp
+  /// (a retransmission supersedes earlier entries for the same seq).
+  struct SendRec {
+    Time sent;
+    std::uint64_t seq;
+  };
+  PodRing<SendRec> send_order_;
+  Time highest_acked_sent_ = -1;     // newest send time seen in an ACK
+  Time last_fast_loss_signal_ = -1;  // rate-limits CC loss signals
+  Time last_progress_ = -1;          // last new ACK (RTO escalates on silence)
+  Time first_send_time_ = -1;
+  std::uint64_t next_new_seq_ = 0;
+  std::int64_t bytes_in_flight_ = 0;
+
+  Time next_send_time_ = 0;  // pacing gate
+  bool pacing_timer_armed_ = false;
+  TagTimer rto_;
+};
+
+FlowSender::Engine::Engine(FlowSender& s, unsigned char* block)
+    : s_(s),
+      eq_(s.eq_),
+      params_(s.params_),
+      paths_(s.paths_),
+      cc_(s.stack_->build_cc(block + cc_offset(), s.params_)),
+      lb_(s.stack_->build_lb(block + lb_offset(*s.stack_), s.params_,
+                             static_cast<std::uint16_t>(s.paths_->size()), s.pool_)),
+      frame_(params_.size_bytes, params_.mtu, params_.ec_enabled, params_.ec_data,
+             params_.ec_parity, s.pool_) {
+  cc_->set_trace(s.trace_);
+  lb_->set_trace(s.trace_);
+  meta_.assign(frame_.total_packets(), PktMeta{}, s.pool_);
 }
 
-void FlowSender::on_event(std::uint64_t tag) {
-  switch (tag) {
-    case kTagStart:
-      started_ = true;
-      try_send();
-      break;
-    case kTagPacing:
-      pacing_timer_armed_ = false;
-      try_send();
-      break;
-    case kTagRto:
-      on_rto();
-      break;
-    default:
-      assert(false && "unknown sender event tag");
-  }
-}
-
-std::int64_t FlowSender::next_seq_to_send() {
+std::int64_t FlowSender::Engine::next_seq_to_send() {
   // Retransmissions take priority over first transmissions.
   while (!rtx_queue_.empty()) {
     const std::uint64_t seq = rtx_queue_.front();
@@ -80,8 +174,7 @@ std::int64_t FlowSender::next_seq_to_send() {
   return -1;
 }
 
-void FlowSender::try_send() {
-  if (!started_ || done_) return;
+void FlowSender::Engine::try_send() {
   const double rate = cc_->pacing_rate();
   while (true) {
     const std::int64_t seq = next_seq_to_send();
@@ -93,7 +186,7 @@ void FlowSender::try_send() {
       if (now < next_send_time_) {
         if (!pacing_timer_armed_) {
           pacing_timer_armed_ = true;
-          eq_.schedule_at(next_send_time_, this, kTagPacing);
+          eq_.schedule_at(next_send_time_, &s_, kTagPacing);
         }
         break;
       }
@@ -109,7 +202,7 @@ void FlowSender::try_send() {
   }
 }
 
-bool FlowSender::send_packet(std::uint64_t seq, bool is_retransmit) {
+bool FlowSender::Engine::send_packet(std::uint64_t seq, bool is_retransmit) {
   const BlockFrame::Shard shard = frame_.shard_of(seq);
   const std::uint16_t entropy =
       static_cast<std::uint16_t>(lb_->pick(seq) % paths_->size());
@@ -119,7 +212,7 @@ bool FlowSender::send_packet(std::uint64_t seq, bool is_retransmit) {
   p.is_parity = shard.parity;
   p.retransmit = is_retransmit;
   p.src_host = params_.src;
-  if (payload_store_) p.payload = payload_store_->shard(seq).data();
+  if (s_.payload_) p.payload = s_.payload_->store.shard(seq).data();
   p.sent_time = eq_.now();
   p.entropy = entropy;
   p.subflow = static_cast<std::uint8_t>(entropy & 0xFF);
@@ -129,35 +222,22 @@ bool FlowSender::send_packet(std::uint64_t seq, bool is_retransmit) {
   meta_[seq] = PktMeta{eq_.now(), entropy, PktState::kInflight};
   send_order_.emplace_back(eq_.now(), seq);
   bytes_in_flight_ += shard.size;
-  bytes_sent_ += shard.size;
-  ++packets_sent_;
+  s_.bytes_sent_ += shard.size;
+  ++s_.packets_sent_;
   if (is_retransmit) {
-    ++retransmits_;
-    UNO_TRACE_EVENT(trace_, TraceKind::kRetransmit, eq_.now(), seq, entropy);
+    ++s_.retransmits_;
+    UNO_TRACE_EVENT(s_.trace_, TraceKind::kRetransmit, eq_.now(), seq, entropy);
   }
   if (first_send_time_ < 0) first_send_time_ = eq_.now();
   // The loss timer fires at expiry granularity (tail losses produce no ACKs
   // to clock detect_losses) and escalates to a full RTO on real silence.
-  if (!rto_timer_.armed()) rto_timer_.arm_in(params_.effective_loss_expiry());
+  if (!rto_.armed()) arm_rto_at(eq_.now() + params_.effective_loss_expiry());
 
   forward(std::move(p));
   return true;
 }
 
-void FlowSender::receive(Packet&& p) {
-  if (p.type == PacketType::kAck)
-    handle_ack(p);
-  else if (p.type == PacketType::kNack)
-    handle_nack(p);
-  else if (p.type == PacketType::kTrimNack)
-    handle_trim_nack(p);
-  else if (p.type == PacketType::kQcn && !done_)
-    cc_->on_qcn(eq_.now());
-  // Data packets can only arrive here if a route was miswired; drop them.
-}
-
-void FlowSender::handle_trim_nack(const Packet& nack) {
-  if (done_) return;
+void FlowSender::Engine::handle_trim_nack(const Packet& nack) {
   const std::uint64_t seq = nack.ack_seq;
   assert(seq < frame_.total_packets());
   // Only authoritative for the transmission it refers to: if the shard was
@@ -171,8 +251,7 @@ void FlowSender::handle_trim_nack(const Packet& nack) {
   try_send();
 }
 
-void FlowSender::handle_ack(const Packet& ack) {
-  if (done_) return;
+void FlowSender::Engine::handle_ack(const Packet& ack) {
   const std::uint64_t seq = ack.ack_seq;
   assert(seq < frame_.total_packets());
   lb_->on_ack(ack.entropy, ack.ecn_echo, eq_.now());
@@ -182,7 +261,7 @@ void FlowSender::handle_ack(const Packet& ack) {
   if (m.state == PktState::kInflight) bytes_in_flight_ -= frame_.shard_of(seq).size;
   m.state = PktState::kAcked;
   const std::uint32_t size = frame_.shard_of(seq).size;
-  acked_bytes_ += size;
+  s_.acked_bytes_ += size;
   last_progress_ = eq_.now();
   frame_.mark(seq);
 
@@ -195,7 +274,7 @@ void FlowSender::handle_ack(const Packet& ack) {
   cc_->on_ack(ev);
 
   if (frame_.complete()) {
-    complete();
+    s_.complete();  // recycles this engine: touch nothing after
     return;
   }
   highest_acked_sent_ = std::max(highest_acked_sent_, ack.echo_sent_time);
@@ -203,7 +282,7 @@ void FlowSender::handle_ack(const Packet& ack) {
   try_send();
 }
 
-Time FlowSender::oldest_inflight_sent() {
+Time FlowSender::Engine::oldest_inflight_sent() {
   while (!send_order_.empty()) {
     const auto [sent, seq] = send_order_.front();
     if (meta_[seq].state != PktState::kInflight || meta_[seq].sent != sent) {
@@ -215,7 +294,7 @@ Time FlowSender::oldest_inflight_sent() {
   return -1;
 }
 
-void FlowSender::detect_losses() {
+void FlowSender::Engine::detect_losses() {
   const Time window = params_.effective_rack_window();
   const Time expiry = params_.effective_loss_expiry();
   const Time now = eq_.now();
@@ -245,7 +324,7 @@ void FlowSender::detect_losses() {
   if (lost_any) signal_loss_to_cc();
 }
 
-void FlowSender::signal_loss_to_cc() {
+void FlowSender::Engine::signal_loss_to_cc() {
   // Losses signal congestion, but at most once per RTT (like a DCTCP
   // loss-round); the NACK hook gives each CC its moderate-reduction path.
   if (eq_.now() - last_fast_loss_signal_ <= params_.base_rtt) return;
@@ -253,9 +332,8 @@ void FlowSender::signal_loss_to_cc() {
   cc_->on_nack(eq_.now());
 }
 
-void FlowSender::handle_nack(const Packet& nack) {
-  if (done_) return;
-  ++nacks_received_;
+void FlowSender::Engine::handle_nack(const Packet& nack) {
+  ++s_.nacks_received_;
   const std::uint32_t block = nack.nack_block;
   assert(block < frame_.num_blocks());
   if (frame_.block_complete(block)) return;  // stale NACK; already decodable
@@ -282,13 +360,12 @@ void FlowSender::handle_nack(const Packet& nack) {
     }
   }
   if (!blamed) lb_->on_nack(nack.entropy, eq_.now());
-  UNO_TRACE_EVENT(trace_, TraceKind::kNackReceived, eq_.now(), block, requeued);
+  UNO_TRACE_EVENT(s_.trace_, TraceKind::kNackReceived, eq_.now(), block, requeued);
   signal_loss_to_cc();
   try_send();
 }
 
-void FlowSender::on_rto() {
-  if (done_) return;
+void FlowSender::Engine::on_rto() {
   // Lazy two-stage loss timer, anchored to the oldest outstanding
   // transmission:
   //  * at oldest + loss_expiry: run the expiry scan (recovers tail losses
@@ -329,65 +406,214 @@ void FlowSender::on_rto() {
   }
   if (oldest >= 0) {
     const Time next = std::max(oldest + params_.effective_loss_expiry(), now + 1);
-    rto_timer_.arm_at(std::min(next, last_heard + params_.effective_rto()));
+    arm_rto_at(std::min(next, last_heard + params_.effective_rto()));
   }
+}
+
+std::uint64_t FlowSender::Engine::count_lost() const {
+  std::uint64_t n = 0;
+  for (const PktMeta& m : meta_)
+    if (m.state == PktState::kLost) ++n;
+  return n;
+}
+
+// ---------------------------------------------------------------------------
+// FlowSender — the record
+// ---------------------------------------------------------------------------
+
+FlowSender::FlowSender(EventQueue& eq, const FlowParams& params, const PathSet* paths,
+                       FlowStack& stack, SlabPool* pool)
+    : eq_(eq), params_(params), paths_(paths), stack_(&stack), pool_(pool) {
+  assert(paths_ != nullptr && !paths_->empty());
+  if (params_.verify_payload && params_.ec_enabled && params_.ec_parity > 0)
+    payload_ = std::make_unique<Payload>(params_);
+}
+
+FlowSender::~FlowSender() {
+  if (engine_ != nullptr) destroy_engine();
+}
+
+const std::string& FlowSender::name() const { return flow_name(params_.id, ".snd"); }
+
+void FlowSender::launch() {
+  assert(engine_ == nullptr && !done_);
+  auto* block =
+      static_cast<unsigned char*>(acquire_engine(pool_, Engine::block_bytes(*stack_)));
+  engine_ = ::new (block) Engine(*this, block);
+  engine_->try_send();
+}
+
+void FlowSender::destroy_engine() {
+  engine_->~Engine();
+  release_engine(pool_, engine_, Engine::block_bytes(*stack_));
+  engine_ = nullptr;
+}
+
+void FlowSender::start() {
+  if (params_.start_time <= eq_.now())
+    launch();
+  else
+    eq_.schedule_at(params_.start_time, this, kTagStart);
+}
+
+CongestionControl& FlowSender::cc() {
+  assert(live() && "cc() exists only while the flow is live");
+  return engine_->cc();
+}
+
+const CongestionControl& FlowSender::cc() const {
+  assert(live() && "cc() exists only while the flow is live");
+  return engine_->cc();
+}
+
+LoadBalancer& FlowSender::lb() {
+  assert(live() && "lb() exists only while the flow is live");
+  return engine_->lb();
+}
+
+std::uint64_t FlowSender::reroutes() const {
+  if (engine_ == nullptr) return reroutes_;
+  const auto* lb = dynamic_cast<const UnoLb*>(&engine_->lb());
+  return lb != nullptr ? lb->reroutes() : 0;
+}
+
+std::int64_t FlowSender::bytes_in_flight() const {
+  return engine_ != nullptr ? engine_->bytes_in_flight() : 0;
+}
+
+void FlowSender::set_trace(TraceContext tc) {
+  trace_ = tc;
+  if (engine_ == nullptr) return;
+  engine_->cc().set_trace(tc);
+  engine_->lb().set_trace(tc);
+}
+
+void FlowSender::on_event(std::uint64_t tag) {
+  switch (TagTimer::kind_of(tag)) {
+    case kTagStart:
+      launch();
+      break;
+    case kTagPacing:
+      if (engine_ != nullptr) engine_->on_pacing();
+      break;
+    case kTagRto:
+      // Completion cancelled the timer, so with no engine every RTO wakeup
+      // is a superseded arm.
+      if (engine_ != nullptr)
+        engine_->on_rto_event(tag);
+      else
+        eq_.note_stale_consumed();
+      break;
+    default:
+      assert(false && "unknown sender event tag");
+  }
+}
+
+bool FlowSender::event_stale(std::uint64_t tag) const {
+  return TagTimer::kind_of(tag) == kTagRto &&
+         (engine_ == nullptr || engine_->rto_stale(tag));
+}
+
+void FlowSender::receive(Packet&& p) {
+  if (engine_ == nullptr) return;  // completed: late feedback changes nothing
+  if (p.type == PacketType::kAck)
+    engine_->handle_ack(p);
+  else if (p.type == PacketType::kNack)
+    engine_->handle_nack(p);
+  else if (p.type == PacketType::kTrimNack)
+    engine_->handle_trim_nack(p);
+  else if (p.type == PacketType::kQcn)
+    engine_->handle_qcn();
+  // Data packets can only arrive here if a route was miswired; drop them.
 }
 
 void FlowSender::complete() {
   done_ = true;
   fct_ = eq_.now() - params_.start_time;
-  rto_timer_.cancel();
+  engine_->cancel_rto();
   // Shards still in kLost were never retransmitted, yet every block is
   // decodable: parity masked those losses.
-  for (const PktMeta& m : meta_)
-    if (m.state == PktState::kLost) ++fec_masked_;
+  fec_masked_ = engine_->count_lost();
   if (fec_masked_ > 0)
-    UNO_TRACE_EVENT(trace_, TraceKind::kFecMasked, eq_.now(), fec_masked_,
-                    frame_.total_packets());
-  release_state();
-  if (on_complete_) {
-    FlowResult r;
-    r.id = params_.id;
-    r.src = params_.src;
-    r.dst = params_.dst;
-    r.interdc = params_.interdc;
-    r.size_bytes = params_.size_bytes;
-    r.start_time = params_.start_time;
-    r.completion_time = fct_;
-    r.packets_sent = packets_sent_;
-    r.retransmits = retransmits_;
-    r.nacks = nacks_received_;
-    r.fec_masked = fec_masked_;
-    on_complete_(r);
-  }
-}
-
-void FlowSender::release_state() {
-  meta_.release();
-  rtx_queue_.release();
-  send_order_.release();
-  frame_.release();
-  // payload_store_ stays: in-flight packets still point into its shard slab
-  // (verify-mode only, so the retention is test-scoped by construction).
+    UNO_TRACE_EVENT(trace_, TraceKind::kFecMasked, eq_.now(), fec_masked_, total_packets());
+  reroutes_ = static_cast<std::uint32_t>(reroutes());
+  destroy_engine();
+  FlowResult r;
+  r.id = params_.id;
+  r.src = params_.src;
+  r.dst = params_.dst;
+  r.interdc = params_.interdc;
+  r.size_bytes = params_.size_bytes;
+  r.start_time = params_.start_time;
+  r.completion_time = fct_;
+  r.packets_sent = packets_sent_;
+  r.retransmits = retransmits_;
+  r.nacks = nacks_received_;
+  r.fec_masked = fec_masked_;
+  stack_->flow_completed(r);
 }
 
 // ---------------------------------------------------------------------------
 // FlowReceiver
 // ---------------------------------------------------------------------------
 
-FlowReceiver::FlowReceiver(EventQueue& eq, const FlowParams& params, const PathSet* paths,
-                           SlabPool* pool)
-    : eq_(eq),
-      params_(params),
-      paths_(paths),
-      pool_(pool),
-      frame_(params.size_bytes, params.mtu, params.ec_enabled, params.ec_data,
-             params.ec_parity, pool),
-      block_timer_(eq, this, 1) {
-  received_.assign(frame_.total_packets(), pool_);
-  if (params_.verify_payload && frame_.ec_enabled())
-    verifier_ = std::make_unique<PayloadVerifier>(params_.id, frame_,
-                                                  params_.payload_shard_bytes);
+/// Per-packet receive state, alive from the first untrimmed data packet
+/// until the message completes (for good in verify mode).
+class FlowReceiver::Engine {
+ public:
+  Engine(const FlowParams& p, SlabPool* pool)
+      : frame(p.size_bytes, p.mtu, p.ec_enabled, p.ec_data, p.ec_parity, pool) {
+    if (p.verify_payload && frame.ec_enabled())
+      verifier = std::make_unique<PayloadVerifier>(p.id, frame, p.payload_shard_bytes);
+  }
+
+  /// Arrivals and per-block shard accounting (degenerate for non-EC).
+  BlockFrame frame;
+  std::unique_ptr<PayloadVerifier> verifier;  // only with verify_payload
+  /// Pending incomplete blocks and their NACK deadlines (flat, sorted,
+  /// allocation-free in steady state — see transport/deadline_ring.hpp).
+  DeadlineRing block_deadline;
+};
+
+FlowReceiver::FlowReceiver(EventQueue& eq, const FlowSender& sender, SlabPool* pool)
+    : eq_(eq), sender_(sender), pool_(pool) {}
+
+const FlowParams& FlowReceiver::params() const { return sender_.params(); }
+const PathSet& FlowReceiver::paths() const { return sender_.paths(); }
+const std::string& FlowReceiver::name() const { return flow_name(params().id, ".rcv"); }
+
+FlowReceiver::~FlowReceiver() {
+  if (engine_ != nullptr) destroy_engine();
+}
+
+void FlowReceiver::destroy_engine() {
+  engine_->~Engine();
+  release_engine(pool_, engine_, sizeof(Engine));
+  engine_ = nullptr;
+}
+
+const PayloadVerifier* FlowReceiver::verifier() const {
+  return engine_ != nullptr ? engine_->verifier.get() : nullptr;
+}
+
+std::uint32_t FlowReceiver::payload_blocks_verified() const {
+  return verifier() != nullptr ? verifier()->blocks_verified() : 0;
+}
+
+std::uint32_t FlowReceiver::payload_blocks_corrupt() const {
+  return verifier() != nullptr ? verifier()->blocks_corrupt() : 0;
+}
+
+std::uint64_t FlowReceiver::payload_pool_acquires() const {
+  return verifier() != nullptr ? verifier()->pool_acquires() : 0;
+}
+
+std::uint64_t FlowReceiver::payload_pool_heap_allocs() const {
+  return verifier() != nullptr ? verifier()->pool_heap_allocs() : 0;
+}
+
+bool FlowReceiver::message_complete() const {
+  return retired_ || (engine_ != nullptr && engine_->frame.complete());
 }
 
 void FlowReceiver::receive(Packet&& p) {
@@ -397,84 +623,90 @@ void FlowReceiver::receive(Packet&& p) {
     // died so it can retransmit without waiting for RACK/RTO.
     last_entropy_ = p.entropy;
     ++trims_seen_;
-    Packet nack = make_trim_nack_packet(p, &paths_->reverse[p.entropy]);
+    Packet nack = make_trim_nack_packet(p, &paths().reverse[p.entropy]);
     forward(std::move(nack));
     return;
   }
   const std::uint64_t seq = p.seq;
-  assert(seq < frame_.total_packets());
   last_entropy_ = p.entropy;
 
-  if (frame_.complete() && !verifier_) {
-    // Message already finished and per-shard state released: any further
-    // arrival (redundant EC shard, crossed retransmission) just gets its
-    // ACK. Indistinguishable on the wire from the pre-release duplicate
-    // path — only receiver-local tallies differ.
+  if (retired_) {
+    // Message already finished and its engine recycled: any further arrival
+    // (redundant EC shard, crossed retransmission) just gets its ACK.
+    // Indistinguishable on the wire from the duplicate path below — only
+    // receiver-local tallies differ.
     ++duplicates_;
     send_ack(p);
     return;
   }
+  if (engine_ == nullptr)
+    engine_ = ::new (acquire_engine(pool_, sizeof(Engine))) Engine(params(), pool_);
+  Engine& e = *engine_;
+  assert(seq < e.frame.total_packets());
 
-  if (!received_.test_and_set(seq)) {
+  if (e.frame.mark(seq)) {
     ++received_count_;
     const std::uint32_t block = p.block_id;
-    frame_.mark(seq);
-    if (verifier_ && p.payload != nullptr)
-      verifier_->on_shard(block, p.shard, p.payload);
-    if (frame_.ec_enabled()) {
-      if (frame_.block_complete(block)) {
-        block_deadline_.erase(block);
+    if (e.verifier && p.payload != nullptr) e.verifier->on_shard(block, p.shard, p.payload);
+    if (e.frame.ec_enabled()) {
+      if (e.frame.block_complete(block)) {
+        e.block_deadline.erase(block);
         UNO_TRACE_EVENT(trace_, TraceKind::kBlockDecoded, eq_.now(), block,
                         received_count_);
       } else {
         // (Re)start the reassembly timer: any arrival is progress, so the
         // NACK deadline counts from the latest shard, not the first.
-        block_deadline_.set(block, eq_.now() + params_.block_timeout);
+        e.block_deadline.set(block, eq_.now() + params().block_timeout);
         arm_block_timer();
       }
     }
-    if (frame_.complete() && !verifier_) release_state();
+    if (e.frame.complete() && !e.verifier) retire();
   } else {
     ++duplicates_;
   }
   send_ack(p);
 }
 
-void FlowReceiver::release_state() {
-  received_.release();
-  frame_.release();
+void FlowReceiver::retire() {
+  destroy_engine();
+  retired_ = true;
 }
 
 void FlowReceiver::send_ack(const Packet& data) {
-  Packet ack = make_ack_packet(data, &paths_->reverse[data.entropy]);
+  Packet ack = make_ack_packet(data, &paths().reverse[data.entropy]);
   forward(std::move(ack));
 }
 
 void FlowReceiver::send_nack(std::uint32_t block, std::uint16_t entropy) {
   ++nacks_sent_;
   UNO_TRACE_EVENT(trace_, TraceKind::kNackSent, eq_.now(), block, entropy);
-  Packet nack = make_nack_packet(params_.id, block, &paths_->reverse[entropy]);
+  Packet nack = make_nack_packet(params().id, block, &paths().reverse[entropy]);
   nack.entropy = entropy;
   forward(std::move(nack));
 }
 
 void FlowReceiver::arm_block_timer() {
-  const Time earliest = block_deadline_.earliest();
+  // A retired receiver has no pending blocks: every block completed.
+  const Time earliest =
+      engine_ != nullptr ? engine_->block_deadline.earliest() : kTimeInfinity;
   if (earliest == kTimeInfinity) {
-    block_timer_.cancel();
+    block_timer_.cancel(eq_);
     return;
   }
   if (!block_timer_.armed() || block_timer_.deadline() > earliest)
-    block_timer_.arm_at(earliest);
+    block_timer_.arm_at(eq_, this, kTagBlockTimer, earliest);
 }
 
-void FlowReceiver::on_event(std::uint64_t) {
-  const Time now = eq_.now();
-  block_deadline_.expire(now, [&](std::uint32_t block) {
-    send_nack(block, last_entropy_);
-    // Re-NACK later if the retransmission round trip also fails.
-    return now + params_.base_rtt + params_.block_timeout;
-  });
+void FlowReceiver::on_event(std::uint64_t tag) {
+  if (!block_timer_.fire(eq_, tag)) return;
+  if (engine_ != nullptr) {
+    const Time now = eq_.now();
+    engine_->block_deadline.expire(now, [&](std::uint32_t block) {
+      send_nack(block, last_entropy_);
+      // Re-NACK later if the retransmission round trip also fails.
+      return now + params().base_rtt + params().block_timeout;
+    });
+  }
   arm_block_timer();
 }
 
@@ -483,27 +715,23 @@ void FlowReceiver::on_event(std::uint64_t) {
 // ---------------------------------------------------------------------------
 
 Flow::Flow(EventQueue& eq, Host& src_host, Host& dst_host, const FlowParams& params,
-           const PathSet* paths, std::unique_ptr<CongestionControl> cc,
-           std::unique_ptr<LoadBalancer> lb, FlowSender::CompletionCallback on_complete)
-    : Flow(eq, eq, src_host, dst_host, params, paths, std::move(cc), std::move(lb),
-           std::move(on_complete)) {}
+           const PathSet* paths, FlowStack& stack)
+    : Flow(eq, eq, src_host, dst_host, params, paths, stack) {}
 
 Flow::Flow(EventQueue& snd_eq, EventQueue& rcv_eq, Host& src_host, Host& dst_host,
-           const FlowParams& params, const PathSet* paths,
-           std::unique_ptr<CongestionControl> cc, std::unique_ptr<LoadBalancer> lb,
-           FlowSender::CompletionCallback on_complete, SlabPool* snd_pool,
-           SlabPool* rcv_pool)
-    : src_host_(src_host), dst_host_(dst_host), id_(params.id) {
-  receiver_ = std::make_unique<FlowReceiver>(rcv_eq, params, paths, rcv_pool);
-  sender_ = std::make_unique<FlowSender>(snd_eq, params, paths, std::move(cc),
-                                         std::move(lb), std::move(on_complete), snd_pool);
-  src_host_.register_flow(id_, sender_.get());
-  dst_host_.register_flow(id_, receiver_.get());
+           const FlowParams& params, const PathSet* paths, FlowStack& stack,
+           SlabPool* snd_pool, SlabPool* rcv_pool)
+    : sender_(snd_eq, params, paths, stack, snd_pool),
+      receiver_(rcv_eq, sender_, rcv_pool),
+      src_host_(src_host),
+      dst_host_(dst_host) {
+  src_host_.register_flow(params.id, &sender_);
+  dst_host_.register_flow(params.id, &receiver_);
 }
 
 Flow::~Flow() {
-  src_host_.unregister_flow(id_);
-  dst_host_.unregister_flow(id_);
+  src_host_.unregister_flow(sender_.params().id);
+  dst_host_.unregister_flow(sender_.params().id);
 }
 
 }  // namespace uno

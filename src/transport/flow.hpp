@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,8 +31,6 @@
 #include "transport/deadline_ring.hpp"
 
 namespace uno {
-
-class FlowSender;
 
 struct FlowParams {
   std::uint64_t id = 0;
@@ -105,104 +102,142 @@ struct FlowResult {
   std::uint64_t fec_masked = 0;
 };
 
+/// The run-wide half of every flow, reached through one pointer per flow
+/// record instead of per-flow heap objects and closures: builds each flow's
+/// congestion controller and load balancer in place when its engine starts
+/// (the closed set of kinds lives in core/scheme.cpp), and hears every
+/// completion.
+class FlowStack {
+ public:
+  /// `cc_bytes` / `lb_bytes`: in-place storage every build_cc / build_lb
+  /// result fits in (max-aligned).
+  FlowStack(std::size_t cc_bytes, std::size_t lb_bytes)
+      : cc_bytes_(cc_bytes), lb_bytes_(lb_bytes) {}
+  virtual ~FlowStack() = default;
+
+  std::size_t cc_bytes() const { return cc_bytes_; }
+  std::size_t lb_bytes() const { return lb_bytes_; }
+
+  /// Construct the flow's congestion controller in `where`.
+  virtual CongestionControl* build_cc(void* where, const FlowParams& p) const = 0;
+  /// Construct the flow's load balancer over `num_paths` paths in `where`;
+  /// its per-path state comes from `pool` (the heap if null).
+  virtual LoadBalancer* build_lb(void* where, const FlowParams& p, std::uint16_t num_paths,
+                                 SlabPool* pool) const = 0;
+  /// A flow completed. Runs on the sender's shard thread, after the flow's
+  /// engine has been recycled.
+  virtual void flow_completed(const FlowResult& r) { (void)r; }
+
+ private:
+  std::size_t cc_bytes_;
+  std::size_t lb_bytes_;
+};
+
+// A flow is split by lifetime. Its *record* — FlowSender + FlowReceiver,
+// bundled as Flow — lives from spawn to teardown: the parameters, the public
+// counters, done/fct, the host registrations, and the handler every event
+// of the flow is scheduled against. Its *engine* — the CC and LB, framing,
+// per-packet state, rings, pacing and retransmission timing — exists only
+// while the flow is live: one slab-pool block per endpoint, built when the
+// sender starts (or the receiver hears its first untrimmed data packet) and
+// recycled the moment the message completes (DESIGN.md §15).
+
+class FlowSender;
+
 class FlowReceiver final : public PacketSink, public EventHandler {
  public:
-  /// With a `pool`, per-packet state (delivery bitmaps) is drawn from that
-  /// slab pool and recycled to it the moment the message completes, so flow
-  /// churn stops touching the heap (core/slab.hpp).
-  FlowReceiver(EventQueue& eq, const FlowParams& params, const PathSet* paths,
-               SlabPool* pool = nullptr);
+  /// The receiver reads its parameters and reverse paths from `sender` (its
+  /// own flow's record, which must outlive it; both are immutable after
+  /// construction, so the receiver's shard thread may read them). With a
+  /// `pool`, the engine (arrival bitmap, block deadlines) is drawn from
+  /// that slab pool and recycled to it the moment the message completes, so
+  /// flow churn stops touching the heap (core/slab.hpp).
+  FlowReceiver(EventQueue& eq, const FlowSender& sender, SlabPool* pool = nullptr);
+  ~FlowReceiver() override;
 
   void receive(Packet&& p) override;
   void on_event(std::uint64_t tag) override;
-  /// Built lazily: a million short flows never ask for their names.
-  const std::string& name() const override {
-    if (name_.empty()) name_ = "flow" + std::to_string(params_.id) + ".rcv";
-    return name_;
-  }
+  bool event_stale(std::uint64_t tag) const override { return block_timer_.stale(tag); }
+  /// "flowN.rcv", built on demand (see flow_name()).
+  const std::string& name() const override;
 
   std::uint64_t data_packets_received() const { return received_count_; }
   std::uint64_t duplicates() const { return duplicates_; }
   std::uint64_t nacks_sent() const { return nacks_sent_; }
   std::uint64_t trims_seen() const { return trims_seen_; }
   /// Payload verification outcomes (0 unless FlowParams::verify_payload).
-  std::uint32_t payload_blocks_verified() const {
-    return verifier_ ? verifier_->blocks_verified() : 0;
-  }
-  std::uint32_t payload_blocks_corrupt() const {
-    return verifier_ ? verifier_->blocks_corrupt() : 0;
-  }
+  std::uint32_t payload_blocks_verified() const;
+  std::uint32_t payload_blocks_corrupt() const;
   /// Arena-pool counters (0 unless verify_payload): heap allocs flat while
   /// acquires grows is the zero-allocation steady-state contract.
-  std::uint64_t payload_pool_acquires() const {
-    return verifier_ ? verifier_->pool_acquires() : 0;
-  }
-  std::uint64_t payload_pool_heap_allocs() const {
-    return verifier_ ? verifier_->pool_heap_allocs() : 0;
-  }
-  bool message_complete() const { return frame_.complete(); }
+  std::uint64_t payload_pool_acquires() const;
+  std::uint64_t payload_pool_heap_allocs() const;
+  bool message_complete() const;
 
   /// Attach to a flight recorder (block decode + NACK instants, kRc).
   void set_trace(TraceContext tc) { trace_ = tc; }
 
  private:
+  class Engine;
+  enum : std::uint32_t { kTagBlockTimer = 1 };
+
   void send_ack(const Packet& data);
   void send_nack(std::uint32_t block, std::uint16_t entropy);
   void arm_block_timer();
-  /// Return per-packet state to the slab pool once the message completed.
-  /// Late arrivals afterwards are counted as duplicates and acked without
-  /// touching the (released) bitmaps — never taken in verify mode, where
-  /// the verifier still consumes shard payloads.
-  void release_state();
+  /// Recycle the engine once the message completed. Late arrivals afterwards
+  /// are counted as duplicates and acked from the record alone — never taken
+  /// in verify mode, where the verifier still consumes shard payloads.
+  void retire();
+  void destroy_engine();
+
+  const FlowParams& params() const;
+  const PathSet& paths() const;
+  const PayloadVerifier* verifier() const;
 
   EventQueue& eq_;
-  FlowParams params_;
-  const PathSet* paths_;
+  const FlowSender& sender_;
   SlabPool* pool_;
-  mutable std::string name_;
-  BlockFrame frame_;  // per-block shard accounting (degenerate for non-EC)
-  std::unique_ptr<PayloadVerifier> verifier_;  // only with verify_payload
+  Engine* engine_ = nullptr;  // null until the first data packet, and once retired
 
-  Bitset64 received_;
   std::uint64_t received_count_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t nacks_sent_ = 0;
   std::uint64_t trims_seen_ = 0;
+  /// Stays with the record: a block timer still armed at completion fires
+  /// later (and counts as an event) exactly as it would have.
+  TagTimer block_timer_;
   std::uint16_t last_entropy_ = 0;
-
-  /// Pending incomplete blocks and their NACK deadlines (flat, sorted,
-  /// allocation-free in steady state — see transport/deadline_ring.hpp).
-  DeadlineRing block_deadline_;
-  Timer block_timer_;
+  bool retired_ = false;
   TraceContext trace_;
 };
 
 class FlowSender final : public PacketSink, public EventHandler {
  public:
-  using CompletionCallback = std::function<void(const FlowResult&)>;
-
-  /// With a `pool`, per-packet state (transmission records, delivery
+  /// With a `pool`, the engine (CC, LB, transmission records, delivery
   /// bitmap) lives on that slab pool and is recycled to it at completion.
   FlowSender(EventQueue& eq, const FlowParams& params, const PathSet* paths,
-             std::unique_ptr<CongestionControl> cc, std::unique_ptr<LoadBalancer> lb,
-             CompletionCallback on_complete = nullptr, SlabPool* pool = nullptr);
+             FlowStack& stack, SlabPool* pool = nullptr);
+  ~FlowSender() override;
 
-  /// Schedule the flow's first transmission at params.start_time.
+  /// Start now if params.start_time has come (building the engine), else
+  /// schedule the start event that will.
   void start();
 
   void receive(Packet&& p) override;  // ACKs and NACKs arrive here
   void on_event(std::uint64_t tag) override;
-  /// Built lazily: a million short flows never ask for their names.
-  const std::string& name() const override {
-    if (name_.empty()) name_ = "flow" + std::to_string(params_.id) + ".snd";
-    return name_;
-  }
+  bool event_stale(std::uint64_t tag) const override;
+  /// "flowN.snd", built on demand (see flow_name()).
+  const std::string& name() const override;
 
   // --- observability ---------------------------------------------------------
   const FlowParams& params() const { return params_; }
-  CongestionControl& cc() { return *cc_; }
-  const CongestionControl& cc() const { return *cc_; }
-  LoadBalancer& lb() { return *lb_; }
+  const PathSet& paths() const { return *paths_; }
+  /// Started and not yet complete: the engine (and with it cc()/lb())
+  /// exists only then.
+  bool live() const { return engine_ != nullptr; }
+  CongestionControl& cc();
+  const CongestionControl& cc() const;
+  LoadBalancer& lb();
   bool done() const { return done_; }
   Time fct() const { return fct_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -214,140 +249,97 @@ class FlowSender final : public PacketSink, public EventHandler {
   /// completion (their blocks decoded from parity, so no retransmission
   /// was ever needed). 0 until the flow completes, and for non-EC flows.
   std::uint64_t fec_masked() const { return fec_masked_; }
-  std::int64_t bytes_in_flight() const { return bytes_in_flight_; }
-  std::uint64_t total_packets() const { return frame_.total_packets(); }
+  /// Subflow reroutes by the load balancer (UnoLb only, else 0): read from
+  /// the live LB, kept in the record once the flow completes.
+  std::uint64_t reroutes() const;
+  /// 0 unless live.
+  std::int64_t bytes_in_flight() const;
+  std::uint64_t total_packets() const {
+    return BlockFrame::packets_for(params_.size_bytes, params_.mtu, params_.ec_enabled,
+                                   params_.ec_data, params_.ec_parity);
+  }
 
   /// Attach the whole sender stack (rtx/NACK instants here, cwnd trace in
   /// the CC, reroutes in the LB) to one flight-recorder component.
-  void set_trace(TraceContext tc) {
-    trace_ = tc;
-    cc_->set_trace(tc);
-    lb_->set_trace(tc);
-  }
+  void set_trace(TraceContext tc);
 
  private:
-  enum class PktState : std::uint8_t { kUnsent, kInflight, kLost, kAcked };
+  class Engine;
+  /// Event kinds in the low TagTimer::kKindBits of a tag. Start and pacing
+  /// wakeups are scheduled against the record, so one that is still pending
+  /// when the flow completes fires (and counts) exactly as it would have.
   enum : std::uint32_t { kTagStart = 1, kTagPacing = 2, kTagRto = 3 };
 
-  void try_send();
-  bool send_packet(std::uint64_t seq, bool is_retransmit);
-  void handle_ack(const Packet& ack);
-  void handle_nack(const Packet& nack);
-  void handle_trim_nack(const Packet& nack);
-  /// Time-based (RACK-style) loss detection: packets sent a reordering
-  /// window before the newest-acked packet are declared lost without
-  /// waiting for the RTO.
-  void detect_losses();
-  /// Forward a loss indication to the CC, at most once per base RTT.
-  void signal_loss_to_cc();
-  void on_rto();
-  /// Send time of the oldest authoritative in-flight transmission, or -1.
-  Time oldest_inflight_sent();
+  /// Build the engine and send what the window allows.
+  void launch();
+  void destroy_engine();
+  /// The message completed: fold the engine's final tallies into the
+  /// record, recycle the engine and report to the stack. Called from inside
+  /// an engine method, which must return without touching itself after.
   void complete();
-  /// Recycle per-packet state (meta, rings, bitmap) at completion; the
-  /// done_ short-circuit in every handler keeps it untouched afterwards.
-  /// Framing scalars survive, so total_packets() stays valid.
-  void release_state();
-  /// Next sequence due for (re)transmission, or -1 when nothing is pending.
-  std::int64_t next_seq_to_send();
 
   EventQueue& eq_;
   FlowParams params_;
   const PathSet* paths_;
+  FlowStack* stack_;
   SlabPool* pool_;
-  std::unique_ptr<CongestionControl> cc_;
-  std::unique_ptr<LoadBalancer> lb_;
-  CompletionCallback on_complete_;
-  mutable std::string name_;
+  Engine* engine_ = nullptr;  // null before start and after completion
+  /// Verify mode only: shard bytes in-flight packets point into, so they
+  /// stay with the record rather than the engine.
+  struct Payload;
+  std::unique_ptr<Payload> payload_;
 
-  BlockFrame frame_;
-  std::unique_ptr<PayloadStore> payload_store_;  // only with verify_payload
-  /// Per-seq transmission record, packed into 16 bytes so the per-ACK path
-  /// (state check, send-time compare, path blame) touches one cache line
-  /// instead of three parallel arrays.
-  struct PktMeta {
-    Time sent = -1;             // last transmission time (-1 = never sent)
-    std::uint16_t entropy = 0;  // path the seq was last sent on
-    PktState state = PktState::kUnsent;
-  };
-  SlabVec<PktMeta> meta_;
-  PodRing<std::uint64_t> rtx_queue_;
-  /// One transmission in time order (see send_order_). An entry is
-  /// authoritative only while meta_[seq].sent still equals its timestamp
-  /// (a retransmission supersedes earlier entries for the same seq).
-  struct SendRec {
-    Time sent;
-    std::uint64_t seq;
-  };
-  PodRing<SendRec> send_order_;
-  Time highest_acked_sent_ = -1;     // newest send time seen in an ACK
-  Time last_fast_loss_signal_ = -1;  // rate-limits CC loss signals
-  Time last_progress_ = -1;          // last new ACK (RTO escalates on silence)
-  std::uint64_t next_new_seq_ = 0;
-  std::int64_t bytes_in_flight_ = 0;
-
-  Time next_send_time_ = 0;  // pacing gate
-  bool pacing_timer_armed_ = false;
-  Timer rto_timer_;
-
-  bool started_ = false;
-  bool done_ = false;
-  Time first_send_time_ = -1;
   Time fct_ = -1;
-
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t acked_bytes_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t retransmits_ = 0;
   std::uint64_t nacks_received_ = 0;
   std::uint64_t fec_masked_ = 0;
+  std::uint32_t reroutes_ = 0;  // final count, set at completion
+  bool done_ = false;
   TraceContext trace_;
 };
 
-/// Convenience bundle: constructs matching sender/receiver and registers
-/// them with the hosts. The caller owns the object; endpoints deregister on
-/// destruction.
+/// One flow's record: matching sender/receiver, registered with their hosts
+/// for the record's lifetime. Immovable (the hosts and event queues hold
+/// its address); Experiment keeps records in chunked storage.
 class Flow {
  public:
   Flow(EventQueue& eq, Host& src_host, Host& dst_host, const FlowParams& params,
-       const PathSet* paths, std::unique_ptr<CongestionControl> cc,
-       std::unique_ptr<LoadBalancer> lb, FlowSender::CompletionCallback on_complete = nullptr);
+       const PathSet* paths, FlowStack& stack);
   /// Sharded form: the sender lives on the source host's shard queue, the
   /// receiver on the destination host's (the same object when not sharding).
-  /// Each endpoint's slab pool must belong to its own shard: acquires happen
-  /// on the main thread while shard threads are parked, releases on the
-  /// owning shard's thread during windows — never concurrently.
+  /// Each endpoint's slab pool must belong to its own shard: each engine is
+  /// built and recycled by the thread that runs its endpoint.
   Flow(EventQueue& snd_eq, EventQueue& rcv_eq, Host& src_host, Host& dst_host,
-       const FlowParams& params, const PathSet* paths,
-       std::unique_ptr<CongestionControl> cc, std::unique_ptr<LoadBalancer> lb,
-       FlowSender::CompletionCallback on_complete = nullptr,
+       const FlowParams& params, const PathSet* paths, FlowStack& stack,
        SlabPool* snd_pool = nullptr, SlabPool* rcv_pool = nullptr);
   ~Flow();
 
   Flow(const Flow&) = delete;
   Flow& operator=(const Flow&) = delete;
 
-  void start() { sender_->start(); }
-  FlowSender& sender() { return *sender_; }
-  FlowReceiver& receiver() { return *receiver_; }
+  void start() { sender_.start(); }
+  FlowSender& sender() { return sender_; }
+  FlowReceiver& receiver() { return receiver_; }
 
   /// Both endpoints share one trace component ("flow:N").
   void set_trace(TraceContext tc) {
-    sender_->set_trace(tc);
-    receiver_->set_trace(tc);
+    sender_.set_trace(tc);
+    receiver_.set_trace(tc);
   }
   /// Sharded form: each endpoint emits into its own shard's tracer.
   void set_trace(TraceContext sender_tc, TraceContext receiver_tc) {
-    sender_->set_trace(sender_tc);
-    receiver_->set_trace(receiver_tc);
+    sender_.set_trace(sender_tc);
+    receiver_.set_trace(receiver_tc);
   }
 
  private:
+  FlowSender sender_;  // first: the receiver reads the sender's params
+  FlowReceiver receiver_;
   Host& src_host_;
   Host& dst_host_;
-  std::uint64_t id_;
-  std::unique_ptr<FlowReceiver> receiver_;
-  std::unique_ptr<FlowSender> sender_;
 };
 
 }  // namespace uno

@@ -133,14 +133,17 @@ std::string ScenarioRegistry::help_text() const {
 
 ScenarioHarness::ScenarioHarness(Experiment& ex, Scenario& sc)
     : ex_(ex), sc_(sc),
-      hosts_{ex.topo().hosts_per_dc(), ex.topo().num_dcs()} {}
+      hosts_{ex.topo().hosts_per_dc(), ex.topo().num_dcs()} {
+  ex_.set_completion_hook([this](const FlowResult& r) { parked_.push_back(r); });
+}
+
+ScenarioHarness::~ScenarioHarness() { ex_.set_completion_hook(nullptr); }
 
 void ScenarioHarness::spawn(FlowSpec spec, std::uint64_t tag) {
   if (spec.start_time < cursor_) spec.start_time = cursor_;
   spec.interdc = hosts_.dc_of(spec.src) != hosts_.dc_of(spec.dst);
   ++spawn_count_;
-  FlowSender& sender =
-      ex_.spawn(spec, [this](const FlowResult& r) { parked_.push_back(r); });
+  FlowSender& sender = ex_.spawn(spec);
   if (tag != 0) tags_.emplace(sender.params().id, tag);
 }
 

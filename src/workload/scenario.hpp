@@ -184,9 +184,14 @@ void register_builtin_scenarios(ScenarioRegistry& r);
 /// Drives one Scenario against one Experiment: the sync-grid loop that
 /// makes closed-loop workloads deterministic under conservative-PDES
 /// sharding. One harness per run; see the file comment for the contract.
+/// The harness holds the experiment's completion hook while it lives, so
+/// every completion of the run reaches the scenario.
 class ScenarioHarness {
  public:
   ScenarioHarness(Experiment& ex, Scenario& sc);
+  ~ScenarioHarness();
+  ScenarioHarness(const ScenarioHarness&) = delete;
+  ScenarioHarness& operator=(const ScenarioHarness&) = delete;
 
   /// The current sync point — the scenario's clock. Finish times seen in
   /// on_flow_complete (flow_finish_time) are exact simulation times

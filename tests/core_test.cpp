@@ -118,12 +118,16 @@ TEST(Experiment, RunToCompletionCollectsFcts) {
   cfg.fattree_k = 4;
   cfg.scheme = SchemeSpec::dctcp();
   Experiment ex(cfg);
-  bool extra_called = false;
-  ex.spawn({0, 12, 64 << 10, 0, false},
-           [&](const FlowResult& r) { extra_called = r.completion_time > 0; });
+  int hook_calls = 0;
+  ex.set_completion_hook([&](const FlowResult& r) {
+    // Runs after the collector recorded the result.
+    EXPECT_GT(r.completion_time, 0);
+    EXPECT_EQ(ex.fct().count(), static_cast<std::size_t>(++hook_calls));
+  });
+  ex.spawn({0, 12, 64 << 10, 0, false});
   ex.spawn({1, 13, 64 << 10, 0, false});
   ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
-  EXPECT_TRUE(extra_called);
+  EXPECT_EQ(hook_calls, 2);
   EXPECT_EQ(ex.fct().count(), 2u);
   const auto s = ex.fct().summarize();
   EXPECT_GT(s.mean_slowdown, 0.9);

@@ -171,6 +171,7 @@ ExperimentConfig cfg_with_uno() {
 /// Spawn an EC flow with payload verification enabled (bypasses Experiment's
 /// spawn because verify_payload is a per-flow knob).
 struct VerifiedFlow {
+  std::unique_ptr<SchemeStack> stack;  // outlives the flow
   std::unique_ptr<Flow> flow;
   FlowSender* sender;
   FlowReceiver* receiver;
@@ -182,15 +183,12 @@ VerifiedFlow spawn_verified(Experiment& ex, const FlowSpec& spec) {
   params.verify_payload = true;
   params.payload_shard_bytes = 128;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
-  auto cc = make_cc(CcKind::kUno, ex.cc_params(spec), ex.config().uno);
-  auto lb = make_lb(LbKind::kUnoLb, params.id,
-                    static_cast<std::uint16_t>(paths.size()), params.base_rtt,
-                    ex.config().uno, ex.config().seed);
+  const ExperimentConfig& cfg = ex.config();
+  auto stack = std::make_unique<SchemeStack>(cfg.scheme, cfg.uno, cfg.seed);
   auto flow = std::make_unique<Flow>(ex.eq(), ex.topo().host(spec.src),
-                                     ex.topo().host(spec.dst), params, &paths,
-                                     std::move(cc), std::move(lb));
+                                     ex.topo().host(spec.dst), params, &paths, *stack);
   flow->start();
-  VerifiedFlow v{std::move(flow), nullptr, nullptr};
+  VerifiedFlow v{std::move(stack), std::move(flow), nullptr, nullptr};
   v.sender = &v.flow->sender();
   v.receiver = &v.flow->receiver();
   return v;

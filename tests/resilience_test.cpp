@@ -313,6 +313,52 @@ TEST(Recovery, QaNeedsConsecutiveStarvedWindows) {
   EXPECT_EQ(cc.qa_events(), 1u);
 }
 
+// --- reroutes across the flow lifecycle ---------------------------------------
+
+/// A flapping border under a staggered inter-DC load makes UnoLb reroute
+/// subflows off the dead links. A flow's LB lives in its engine, which is
+/// recycled at completion, so by the time summarize() runs every count comes
+/// from the records. Pinned to the total of the same run with every LB kept
+/// until teardown; mid-run, the live stack must be reachable.
+TEST(Resilience, ReroutesOfCompletedFlowsSurvive) {
+  ExperimentConfig cfg;
+  cfg.fattree_k = 4;
+  cfg.scheme = SchemeSpec::uno();
+  cfg.seed = 3;
+  std::string err;
+  ASSERT_TRUE(FaultPlan::parse("500us flap border:* period=300us duty=0.5 until=8ms",
+                               &cfg.faults, &err))
+      << err;
+  Experiment ex(cfg);
+  for (int f = 0; f < 8; ++f)
+    ex.spawn({f, 16 + (f * 5) % 16, (1u << 20) + f * (128u << 10), f * 100 * kMicrosecond,
+              true});
+  ResilienceTracker tracker(ex.eq(), 100 * kMicrosecond);
+  for (std::size_t i = 0; i < ex.flows_spawned(); ++i) tracker.watch(&ex.sender(i));
+  tracker.note_fault(ex.fault_injector()->first_onset());
+  tracker.start();
+
+  ex.run_until(2 * kMillisecond);  // mid-flap: every flow started, none done
+  for (std::size_t i = 0; i < ex.flows_spawned(); ++i) {
+    FlowSender& f = ex.sender(i);
+    ASSERT_TRUE(f.live()) << "flow " << i;
+    EXPECT_GE(f.cc().cwnd(), 4096) << "flow " << i;
+    const auto* lb = dynamic_cast<const UnoLb*>(&f.lb());
+    ASSERT_NE(lb, nullptr);
+    EXPECT_EQ(f.reroutes(), lb->reroutes()) << "flow " << i;
+  }
+
+  ASSERT_TRUE(ex.run_to_completion(2 * kSecond));
+  tracker.stop();
+  for (std::size_t i = 0; i < ex.flows_spawned(); ++i)
+    EXPECT_FALSE(ex.sender(i).live()) << "flow " << i << " kept its engine";
+  const ResilienceSummary s = tracker.summarize();
+  EXPECT_EQ(s.reroutes, 38u);
+  EXPECT_EQ(s.retransmits, 5265u);
+  EXPECT_EQ(s.flows_affected, 5u);
+  EXPECT_EQ(s.flows_recovered, 5u);
+}
+
 // --- fault-plan determinism --------------------------------------------------
 
 std::vector<FlowResult> run_faulted_scenario(std::uint64_t seed) {

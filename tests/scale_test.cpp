@@ -16,6 +16,7 @@
 #include "core/experiment.hpp"
 #include "core/sim_options.hpp"
 #include "topo/interdc.hpp"
+#include "workload/scenario.hpp"
 #include "workload/traffic.hpp"
 
 namespace uno {
@@ -308,6 +309,42 @@ TEST(SlabChurn, HundredThousandFlowsZeroSteadyStateAllocs) {
   EXPECT_EQ(counters("mem.flow.slab_heap_allocs"), heap_after_warmup);
   // Completed flows returned their state: nothing live at quiescence.
   EXPECT_EQ(counters("mem.flow.slab_live_bytes"), 0u);
+}
+
+// A flow record (both endpoints' halves) is what every spawned flow costs
+// for the whole run, live or not (DESIGN.md §15).
+static_assert(sizeof(Flow) <= 640, "the per-flow record grew past its budget");
+
+/// Open-loop short-RPC churn: a flow's engines exist only while it is live,
+/// so after the run no engine (and no slab byte) is live, and the peak of
+/// simultaneously live engines is a small fraction of the flows spawned.
+TEST(SlabChurn, EnginesLiveOnlyWhileFlowsAre) {
+  ExperimentConfig cfg;
+  cfg.seed = 5;
+  cfg.fattree_k = 4;
+  Experiment ex(cfg);
+  std::unique_ptr<Scenario> sc = ScenarioRegistry::instance().create("rpc_churn");
+  ASSERT_NE(sc, nullptr);
+  std::string err;
+  ASSERT_TRUE(sc->set_options({{"duration-ms", "3"}}, &err)) << err;
+  ScenarioEnv env;
+  env.hosts = HostSpace{16, 2};
+  env.seed = cfg.seed;
+  ASSERT_TRUE(sc->init(env, &err)) << err;
+  ScenarioHarness harness(ex, *sc);
+  ASSERT_TRUE(harness.run(20 * kSecond));
+
+  MetricRegistry m;
+  ex.snapshot_metrics(m);
+  const std::uint64_t flows = ex.flows_spawned();
+  ASSERT_GT(flows, 1000u);
+  EXPECT_EQ(m.counter("mem.flow.records"), flows);
+  EXPECT_EQ(m.counter("mem.flow.record_bytes"), flows * sizeof(Flow));
+  EXPECT_EQ(m.counter("mem.flow.live_engines"), 0u);
+  EXPECT_EQ(m.counter("mem.flow.slab_live_bytes"), 0u);
+  const std::uint64_t peak = m.counter("mem.flow.live_peak");
+  EXPECT_GT(peak, 0u);
+  EXPECT_LT(peak * 10, flows) << "engines outlived their flows";
 }
 
 // ----------------------------------------------------------- options ----

@@ -2,6 +2,8 @@
 // detection, distribution summaries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -56,11 +58,71 @@ TEST(FctCollectorTest, SlowdownUsesIdealModel) {
   EXPECT_NEAR(s.mean_slowdown, 2.0, 0.01);
 }
 
-TEST(FctCollectorTest, CallbackFeedsCollector) {
-  FctCollector c;
-  auto cb = c.callback();
-  cb(result(false, 1, kMicrosecond));
-  EXPECT_EQ(c.count(), 1u);
+/// The textbook summary of one class: copy, sort, interpolate between the
+/// two nearest ranks — what summarize() computed before it sorted once.
+FctSummary naive_summary(const std::vector<FlowResult>& rs, const FctCollector::IdealFn& ideal,
+                         int cls /* 0 all, 1 intra, 2 inter */) {
+  std::vector<double> fcts, slowdowns;
+  for (const FlowResult& r : rs) {
+    if ((cls == 1 && r.interdc) || (cls == 2 && !r.interdc)) continue;
+    fcts.push_back(to_microseconds(r.completion_time));
+    slowdowns.push_back(static_cast<double>(r.completion_time) /
+                        static_cast<double>(ideal(r)));
+  }
+  auto pct = [](std::vector<double> v, double p) {
+    std::sort(v.begin(), v.end());
+    const double rank = p / 100.0 * (static_cast<double>(v.size()) - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    const double t = rank - static_cast<double>(lo);
+    return v[lo] * (1.0 - t) + v[hi] * t;
+  };
+  FctSummary s;
+  s.count = fcts.size();
+  double sum = 0, ssum = 0;
+  for (double f : fcts) sum += f;
+  for (double v : slowdowns) ssum += v;
+  s.mean_us = sum / static_cast<double>(fcts.size());
+  s.max_us = *std::max_element(fcts.begin(), fcts.end());
+  s.p50_us = pct(fcts, 50);
+  s.p99_us = pct(fcts, 99);
+  s.mean_slowdown = ssum / static_cast<double>(slowdowns.size());
+  s.p99_slowdown = pct(slowdowns, 99);
+  return s;
+}
+
+void expect_bit_equal(const FctSummary& got, const FctSummary& want, const char* what) {
+  EXPECT_EQ(got.count, want.count) << what;
+  EXPECT_EQ(got.mean_us, want.mean_us) << what;
+  EXPECT_EQ(got.p50_us, want.p50_us) << what;
+  EXPECT_EQ(got.p99_us, want.p99_us) << what;
+  EXPECT_EQ(got.max_us, want.max_us) << what;
+  EXPECT_EQ(got.mean_slowdown, want.mean_slowdown) << what;
+  EXPECT_EQ(got.p99_slowdown, want.p99_slowdown) << what;
+}
+
+TEST(FctCollectorTest, ClassSummariesMatchNaiveFormula) {
+  const FctCollector::IdealFn ideal =
+      FctCollector::pipe_ideal(100 * kGbps, 14 * kMicrosecond, 2 * kMillisecond);
+  FctCollector c(ideal);
+  std::vector<FlowResult> rs;
+  std::uint64_t x = 88172645463325252ull;  // xorshift64: unsorted, with ties
+  for (int i = 0; i < 997; ++i) {
+    x ^= x << 13, x ^= x >> 7, x ^= x << 17;
+    const bool inter = x % 5 == 0;
+    const std::uint64_t size = 1 + (x >> 20) % (1 << 20);
+    const Time fct = (inter ? 2 * kMillisecond : 5 * kMicrosecond) +
+                     static_cast<Time>((x >> 8) % 4096) * 97 * kNanosecond;
+    rs.push_back(result(inter, size, fct));
+    c.add(rs.back());
+  }
+  const FctCollector::Classes got = c.summarize_classes();
+  expect_bit_equal(got.all, naive_summary(rs, ideal, 0), "all");
+  expect_bit_equal(got.intra, naive_summary(rs, ideal, 1), "intra");
+  expect_bit_equal(got.inter, naive_summary(rs, ideal, 2), "inter");
+  expect_bit_equal(c.summarize(FctCollector::Class::kAll), got.all, "summarize(all)");
+  expect_bit_equal(c.summarize(FctCollector::Class::kIntra), got.intra, "summarize(intra)");
+  expect_bit_equal(c.summarize(FctCollector::Class::kInter), got.inter, "summarize(inter)");
 }
 
 TEST(JainIndex, PerfectAndSkewed) {
