@@ -50,7 +50,7 @@ int main() {
       rs.start();
       ex.run_to_completion(800 * kMillisecond);
       rs.stop();
-      const auto all = ex.fct().summarize();
+      const FctSummary all = ex.result().fct_all;
       const Time conv = rs.convergence_time(0.9);
       t.add_row({v.name, Table::fmt(all.mean_us / 1000, 2), Table::fmt(all.p99_us / 1000, 2),
                  conv == kTimeInfinity ? "never" : Table::fmt(to_milliseconds(conv), 1),
@@ -79,8 +79,9 @@ int main() {
       pc.seed = bench::seed();
       ex.spawn_all(make_poisson_mixed(bench::hosts_of(ex), intra_sizes, inter_sizes, pc));
       ex.run_to_completion(kSecond);
-      const auto intra = ex.fct().summarize(FctCollector::Class::kIntra);
-      const auto inter = ex.fct().summarize(FctCollector::Class::kInter);
+      const ExperimentResult res = ex.result();
+      const FctSummary& intra = res.fct_intra;
+      const FctSummary& inter = res.fct_inter;
       t.add_row({v.name, Table::fmt(intra.mean_us, 1), Table::fmt(intra.p99_us, 1),
                  Table::fmt(inter.mean_us, 1), Table::fmt(inter.p99_us, 1)});
     }

@@ -136,8 +136,6 @@ struct VerifiedFlow {
 VerifiedFlow spawn_verified(Experiment& ex, FlowStack& stack, const FlowSpec& spec) {
   FlowParams params = ex.flow_params(spec);
   params.id = 880000 + static_cast<std::uint64_t>(spec.src) * 1000 + spec.dst;
-  params.verify_payload = true;
-  params.payload_shard_bytes = 1024;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
   auto flow = std::make_unique<Flow>(ex.eq(), ex.topo().host(spec.src),
                                      ex.topo().host(spec.dst), params, &paths, stack);
@@ -164,7 +162,12 @@ MacroResult run_macro(bool quick) {
 
   const int hosts = ex.topo().hosts_per_dc();
   const std::uint64_t bytes = (quick ? 1 : 4) * (1u << 20);
+  // Verify mode is a knob of the flows' own stack.
   SchemeStack stack(cfg.scheme, cfg.uno, cfg.seed);
+  TransportParams t = stack.transport();
+  t.verify_payload = true;
+  t.payload_shard_bytes = 1024;
+  stack.set_transport(t);
   std::vector<VerifiedFlow> flows;
   for (int h = 0; h < hosts; ++h)
     flows.push_back(spawn_verified(ex, stack, {h, hosts + (h + 3) % hosts, bytes, 0, true}));

@@ -38,14 +38,15 @@ int main() {
       auto specs = make_poisson_mixed(bench::hosts_of(ex), intra_sizes, inter_sizes, pc);
       ex.spawn_all(specs);
       const bool done = ex.run_to_completion(horizon);
+      const ExperimentResult res = ex.result();
       {
         char name[160];
         std::snprintf(name, sizeof(name), "fig10_fcts_%s_load%.0f.csv",
                       scheme.name.c_str(), load * 100);
-        bench::recorder().flow_results(name, ex.fct().results());
+        bench::recorder().flow_results(name, res.flows);
       }
-      const auto intra = ex.fct().summarize(FctCollector::Class::kIntra);
-      const auto inter = ex.fct().summarize(FctCollector::Class::kInter);
+      const FctSummary& intra = res.fct_intra;
+      const FctSummary& inter = res.fct_inter;
       t.add_row({scheme.name, Table::fmt(intra.mean_us, 1), Table::fmt(intra.p99_us, 1),
                  Table::fmt(inter.mean_us, 1), Table::fmt(inter.p99_us, 1),
                  std::to_string(specs.size()), done ? "yes" : "no"});

@@ -56,8 +56,9 @@ int main() {
         Cell c;
         c.scheme = scheme.name;
         c.done = ex.run_to_completion(kSecond + 4 * inter_rtt * 100);
-        c.all = ex.fct().summarize();
-        c.inter = ex.fct().summarize(FctCollector::Class::kInter);
+        const ExperimentResult res = ex.result();
+        c.all = res.fct_all;
+        c.inter = res.fct_inter;
         return c;
       });
 

@@ -52,7 +52,7 @@ int main() {
     };
 
     double makespan = 0;
-    for (const FlowResult& r : ex.fct().results())
+    for (const FlowResult& r : ex.result().flows)
       makespan = std::max(makespan, to_milliseconds(r.start_time + r.completion_time));
     const Time conv = rs.convergence_time(0.9);
     {

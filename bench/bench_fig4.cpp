@@ -71,9 +71,10 @@ int main() {
     const auto steady = [measure_from](const FlowResult& r) {
       return !r.interdc && r.size_bytes <= 65536 && r.start_time >= measure_from;
     };
-    const auto rpc_all = ex.fct().summarize_if(steady);
+    const std::vector<FlowResult> flows = ex.result().flows;
+    const auto rpc_all = ex.fct().summarize_if(flows, steady);
     const auto rpc_hot = ex.fct().summarize_if(
-        [&steady](const FlowResult& r) { return steady(r) && r.dst == 0; });
+        flows, [&steady](const FlowResult& r) { return steady(r) && r.dst == 0; });
     fct.add_row({scheme.name + " (all RPCs)", Table::fmt(rpc_all.mean_us, 1),
                  Table::fmt(rpc_all.p99_us, 1), std::to_string(rpc_all.count)});
     fct.add_row({scheme.name + " (to hotspot)", Table::fmt(rpc_hot.mean_us, 1),

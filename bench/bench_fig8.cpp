@@ -69,9 +69,10 @@ int main() {
         bench::recorder().time_series(name, all);
       }
 
-      const auto all = ex.fct().summarize();
+      const ExperimentResult res = ex.result();
+      const FctSummary& all = res.fct_all;
       double makespan = 0;
-      for (const FlowResult& r : ex.fct().results())
+      for (const FlowResult& r : res.flows)
         makespan = std::max(makespan, to_milliseconds(r.start_time + r.completion_time));
       t.add_row({scheme.name, Table::fmt(all.mean_us / 1000, 2),
                  Table::fmt(all.p99_us / 1000, 2), Table::fmt(makespan, 2),

@@ -35,8 +35,9 @@ int main() {
       pc.seed = bench::seed();
       ex.spawn_all(make_poisson_mixed(bench::hosts_of(ex), intra_sizes, inter_sizes, pc));
       ex.run_to_completion(2 * kSecond);
-      const auto intra = ex.fct().summarize(FctCollector::Class::kIntra);
-      const auto inter = ex.fct().summarize(FctCollector::Class::kInter);
+      const ExperimentResult res = ex.result();
+      const FctSummary& intra = res.fct_intra;
+      const FctSummary& inter = res.fct_inter;
       t.add_row({scheme.name, Table::fmt(intra.mean_us, 1), Table::fmt(intra.p99_us, 1),
                  Table::fmt(inter.mean_us, 1), Table::fmt(inter.p99_us, 1),
                  std::to_string(ex.qcn_delivered())});

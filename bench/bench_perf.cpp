@@ -207,7 +207,7 @@ SweepResult run_sweep(bool quick, int jobs) {
                                     EmpiricalCdf::google_rpc().scaled(16), pc);
     ex.spawn_all(specs);
     ex.run_to_completion(10 * kSecond);
-    return PointOut{ex.eq().dispatched(), ex.fct().summarize().mean_us};
+    return PointOut{ex.eq().dispatched(), ex.result().fct_all.mean_us};
   });
   SweepResult r;
   r.points = points;
@@ -261,7 +261,7 @@ ShardDigest run_perm_inter_sharded(bool quick, int shards, double* wall_s,
   ShardDigest d;
   d.events = ex.events_dispatched();
   d.sim_end = ex.now();
-  for (const FlowResult& r : ex.fct().results())
+  for (const FlowResult& r : ex.result().flows)
     d.fct_hash = d.fct_hash * 1315423911ull +
                  static_cast<std::uint64_t>(r.completion_time);
   return d;

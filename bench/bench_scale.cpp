@@ -107,7 +107,7 @@ Digest digest_of(Experiment& ex) {
   Digest d;
   d.events = ex.events_dispatched();
   d.sim_end = ex.now();
-  for (const FlowResult& r : ex.fct().results())
+  for (const FlowResult& r : ex.result().flows)
     d.fct_hash = d.fct_hash * 1315423911ull +
                  static_cast<std::uint64_t>(r.completion_time);
   return d;
@@ -297,7 +297,7 @@ ScaleCell run_scale_cell(bool quick, int k, int dcs) {
   c.wall_s = now_seconds() - t0;
   c.events = ex.events_dispatched();
   c.events_per_sec = c.wall_s > 0 ? static_cast<double>(c.events) / c.wall_s : 0;
-  c.p99_us = ex.fct().summarize().p99_us;
+  c.p99_us = ex.result().fct_all.p99_us;
   c.path_peak_bytes = ex.topo().path_store().peak_slab_bytes();
   c.rss_kib = ::rss_kib();
   return c;
@@ -449,12 +449,12 @@ int main(int argc, char** argv) {
   // size-class rounding. A regression that hangs per-packet
   // state off the flow (or stops releasing it) blows through the ceiling.
   constexpr double kBytesPerFlowCeiling = 16 * 1024.0;
-  // Every heap byte spawn asks for, per flow: the 440 B record, host
+  // Every heap byte spawn asks for, per flow: the 328 B record, host
   // registrations, path acquires and the engines of flows that start at
-  // once (1063 B at --quick, where fixed costs spread over 1024 flows; 690 B
+  // once (919 B at --quick, where fixed costs spread over 1024 flows; 576 B
   // full), plus 10 %. A per-flow heap object or closure at spawn again, or
   // a record that grew, trips it.
-  const double kHeapBytesPerFlowCeiling = quick ? 1169.0 : 759.0;
+  const double kHeapBytesPerFlowCeiling = quick ? 1011.0 : 634.0;
 
   bench::print_header("bench_scale",
                       quick ? "memory + scale trajectory (quick)"

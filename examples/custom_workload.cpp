@@ -55,9 +55,10 @@ int main() {
     return 1;
   }
 
-  const auto intra = ex.fct().summarize(FctCollector::Class::kIntra);
-  const auto inter = ex.fct().summarize(FctCollector::Class::kInter);
-  std::printf("\n%zu flows at 30%% load:\n", ex.fct().count());
+  const ExperimentResult res = ex.result();
+  const FctSummary& intra = res.fct_intra;
+  const FctSummary& inter = res.fct_inter;
+  std::printf("\n%zu flows at 30%% load:\n", res.flows.size());
   std::printf("  intra: mean %.1f us, p99 %.1f us\n", intra.mean_us, intra.p99_us);
   std::printf("  inter: mean %.2f ms, p99 %.2f ms (10 ms base RTT)\n",
               inter.mean_us / 1000, inter.p99_us / 1000);

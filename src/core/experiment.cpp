@@ -235,16 +235,12 @@ FlowParams Experiment::flow_params(const FlowSpec& spec) const {
   p.src = spec.src;
   p.dst = spec.dst;
   p.size_bytes = spec.size_bytes;
-  p.mtu = cfg_.uno.mtu;
   p.start_time = spec.start_time;
   p.interdc = spec.interdc;
   p.base_rtt = spec.interdc
                    ? cfg_.uno.inter_rtt_for(topo_->dc_of(spec.src), topo_->dc_of(spec.dst))
                    : cfg_.uno.intra_rtt;
   p.ec_enabled = spec.interdc && cfg_.scheme.ec_inter;
-  p.ec_data = cfg_.uno.ec_data;
-  p.ec_parity = cfg_.uno.ec_parity;
-  p.block_timeout = cfg_.uno.block_timeout;
   return p;
 }
 
@@ -259,6 +255,8 @@ FlowSender& Experiment::spawn(const FlowSpec& spec) {
 
   FlowParams params = flow_params(spec);
   params.id = next_flow_id_++;
+  assert(params.id == flows_.size() + 1 && "a flow's record index is its id - 1");
+  assert(params.id <= UINT32_MAX && "completions park 32-bit record indices");
 
   // Acquired for the flow's lifetime; the completion path releases the pair
   // so idle route slabs can be evicted after their quarantine. Spawns always
@@ -286,10 +284,11 @@ FlowSender& Experiment::spawn(const FlowSpec& spec) {
 
 void Experiment::flow_completed(const FlowResult& r) {
   if (runner_) {
-    // Completion fires on the sender's shard thread; park the record and let
-    // the barrier-side drain apply it (and the hook, and the path release —
-    // the store is main-thread-only) in deterministic shard order.
-    pending_completions_[shard_of(topo_->dc_of(r.src))].push_back(r);
+    // Completion fires on the sender's shard thread; park the record's index
+    // and let the barrier-side drain apply it (and the hook, and the path
+    // release — the store is main-thread-only) in deterministic shard order.
+    pending_completions_[shard_of(topo_->dc_of(r.src))].push_back(
+        static_cast<std::uint32_t>(r.id - 1));
   } else {
     apply_completion(r, eqs_[0]->now());
   }
@@ -297,7 +296,6 @@ void Experiment::flow_completed(const FlowResult& r) {
 
 void Experiment::apply_completion(const FlowResult& r, Time now) {
   ++completed_;
-  fct_.add(r);
   topo_->release_paths(r.src, r.dst, now);
   if (hook_) hook_(r);
 }
@@ -306,11 +304,25 @@ void Experiment::spawn_all(const std::vector<FlowSpec>& specs) {
   for (const FlowSpec& spec : specs) spawn(spec);
 }
 
-void Experiment::snapshot_metrics(MetricRegistry& m) const {
-  snapshot_metrics(m, fct_.summarize_classes());
+std::vector<FlowResult> Experiment::completed_results() const {
+  std::vector<FlowResult> out;
+  out.reserve(completed_);
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const FlowSender& s = flows_[i].sender();
+    if (s.done()) out.push_back(s.result());
+  }
+  assert(out.size() == completed_);
+  std::sort(out.begin(), out.end(), canonical_before);
+  return out;
 }
 
-void Experiment::snapshot_metrics(MetricRegistry& m, const FctCollector::Classes& fct) const {
+void Experiment::snapshot_metrics(MetricRegistry& m) const {
+  const std::vector<FlowResult> flows = completed_results();
+  snapshot_metrics(m, flows, fct_.summarize_classes(flows));
+}
+
+void Experiment::snapshot_metrics(MetricRegistry& m, const std::vector<FlowResult>& flows,
+                                  const FctCollector::Classes& fct) const {
   // Which binary produced these numbers — the same id the sweep farm folds
   // into its cache keys, so exported metrics are attributable to a build.
   m.set_info("build", build_info_string());
@@ -435,7 +447,7 @@ void Experiment::snapshot_metrics(MetricRegistry& m, const FctCollector::Classes
   m.set_counter("fabric.link.coalesced_deliveries", coalesced);
 
   std::uint64_t pkts = 0, rtx = 0, nacks = 0, fec_masked = 0, bytes = 0;
-  for (const FlowResult& r : fct_.results()) {
+  for (const FlowResult& r : flows) {
     pkts += r.packets_sent;
     rtx += r.retransmits;
     nacks += r.nacks;
@@ -473,19 +485,20 @@ ExperimentResult Experiment::result(Recorder recorder) const {
   r.events_dispatched = events_dispatched();
   r.fabric_drops = topo_->total_drops();
   r.fabric_trims = topo_->total_trims();
-  const FctCollector::Classes fct = fct_.summarize_classes();
+  r.flows = completed_results();
+  const FctCollector::Classes fct = fct_.summarize_classes(r.flows);
   r.fct_all = fct.all;
   r.fct_intra = fct.intra;
   r.fct_inter = fct.inter;
-  r.flows = fct_.results();
-  snapshot_metrics(r.metrics, fct);
+  snapshot_metrics(r.metrics, r.flows, fct);
   r.recorder = std::move(recorder);
   return r;
 }
 
 void Experiment::drain_completions() {
   for (auto& vec : pending_completions_) {
-    for (const FlowResult& r : vec) apply_completion(r, runner_->now());
+    for (const std::uint32_t i : vec)
+      apply_completion(flows_[i].sender().result(), runner_->now());
     vec.clear();
   }
 }
@@ -516,10 +529,6 @@ bool Experiment::run_to_completion(Time deadline) {
     while (!all_complete() && eq.now() < deadline && !eq.empty())
       eq.run_until(std::min(deadline, eq.now() + chunk));
   }
-  // Canonical result order in every mode: completion order is an event-loop
-  // artifact (and shard-interleaved when N > 1); the canonical sort is a
-  // pure function of simulation content.
-  fct_.canonicalize();
   return all_complete();
 }
 

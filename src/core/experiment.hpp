@@ -69,7 +69,9 @@ struct ExperimentResult {
   std::uint64_t fabric_drops = 0;
   std::uint64_t fabric_trims = 0;
   FctSummary fct_all, fct_intra, fct_inter;
-  std::vector<FlowResult> flows;  // completion order
+  /// Completed flows in canonical (finish time, flow id) order, built from
+  /// the flow records when the snapshot is taken.
+  std::vector<FlowResult> flows;
   MetricRegistry metrics;
   Recorder recorder;  // disabled unless the caller provides one
 
@@ -127,16 +129,20 @@ class Experiment {
   std::uint64_t events_dispatched() const;
   InterDcTopology& topo() { return *topo_; }
   const ExperimentConfig& config() const { return cfg_; }
-  FctCollector& fct() { return fct_; }
+  /// FCT summaries with the run's ideal model bound (for slowdowns); feed it
+  /// result().flows.
+  const FctCollector& fct() const { return fct_; }
+  /// The transport knobs every flow of the run shares.
+  const TransportParams& transport() const { return stack_.transport(); }
 
   /// Create a flow for `spec`: write its record, and build its engine now if
   /// spec.start_time has come (else its start event will).
   FlowSender& spawn(const FlowSpec& spec);
   /// Spawn every spec in the list.
   void spawn_all(const std::vector<FlowSpec>& specs);
-  /// One hook for every completion of the run, invoked after the FCT
-  /// collector records the result: inline in a monolithic run, at the next
-  /// barrier (in shard order) in a sharded one.
+  /// One hook for every completion of the run, with the result built from
+  /// the flow's record: inline in a monolithic run, at the next barrier (in
+  /// shard order) in a sharded one.
   using CompletionHook = std::function<void(const FlowResult&)>;
   void set_completion_hook(CompletionHook hook) { hook_ = std::move(hook); }
 
@@ -169,7 +175,8 @@ class Experiment {
   const Tracer* tracer() const;
 
   /// Snapshot the run into an ExperimentResult. `recorder` becomes the
-  /// result's export surface (default: disabled, writes no-op).
+  /// result's export surface (default: disabled, writes no-op). Builds the
+  /// per-flow results from the records on each call.
   ExperimentResult result(Recorder recorder = Recorder()) const;
   /// Fill `m` with the run's scalar counters/gauges (called by result()).
   void snapshot_metrics(MetricRegistry& m) const;
@@ -190,15 +197,18 @@ class Experiment {
     const int n = static_cast<int>(eqs_.size());
     return n == 1 ? 0 : dc * n / topo_->num_dcs();
   }
-  /// Move per-shard completion records into fct_/completed_ (barrier-side;
-  /// no-op monolithic, where completions apply inline).
+  /// Apply the completions shard threads parked (barrier-side; no-op
+  /// monolithic, where completions apply inline).
   void drain_completions();
   /// A sender completed (on its shard's thread): apply it now when
-  /// monolithic, else park it for the next barrier.
+  /// monolithic, else park its record index for the next barrier.
   void flow_completed(const FlowResult& r);
-  /// Record a completion, release its path pair, run the hook.
+  /// Count a completion, release its path pair, run the hook.
   void apply_completion(const FlowResult& r, Time now);
-  void snapshot_metrics(MetricRegistry& m, const FctCollector::Classes& fct) const;
+  /// Every completed flow's result, in canonical order, at exact size.
+  std::vector<FlowResult> completed_results() const;
+  void snapshot_metrics(MetricRegistry& m, const std::vector<FlowResult>& flows,
+                        const FctCollector::Classes& fct) const;
 
   /// The scheme's in-place CC/LB builder, reporting completions back here.
   class Stack final : public SchemeStack {
@@ -230,9 +240,9 @@ class Experiment {
   /// return to.
   ChunkedVec<Flow> flows_;
   CompletionHook hook_;
-  /// Sender-side completion records parked by shard threads during a window,
+  /// Record indices of the flows shard threads completed during a window,
   /// drained single-threaded at barriers. Indexed by the sender's shard.
-  std::vector<std::vector<FlowResult>> pending_completions_;
+  std::vector<std::vector<std::uint32_t>> pending_completions_;
   std::size_t completed_ = 0;
   std::uint64_t next_flow_id_ = 1;
 };

@@ -181,6 +181,15 @@ auto make_lb_with(const Maker& m, LbKind kind, std::uint64_t flow_id, std::uint1
   return nullptr;
 }
 
+TransportParams transport_for(const UnoConfig& cfg) {
+  TransportParams t;
+  t.mtu = cfg.mtu;
+  t.ec_data = cfg.ec_data;
+  t.ec_parity = cfg.ec_parity;
+  t.block_timeout = cfg.block_timeout;
+  return t;
+}
+
 }  // namespace
 
 std::unique_ptr<CongestionControl> make_cc(CcKind kind, const CcParams& cc,
@@ -196,7 +205,8 @@ std::unique_ptr<LoadBalancer> make_lb(LbKind kind, std::uint64_t flow_id,
 }
 
 SchemeStack::SchemeStack(const SchemeSpec& scheme, const UnoConfig& cfg, std::uint64_t seed)
-    : FlowStack(kCcBytes, kLbBytes), scheme_(scheme), cfg_(cfg), seed_(seed) {}
+    : FlowStack(kCcBytes, kLbBytes, transport_for(cfg)), scheme_(scheme), cfg_(cfg),
+      seed_(seed) {}
 
 CcParams SchemeStack::cc_params(const FlowParams& p) const {
   CcParams c;

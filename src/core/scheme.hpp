@@ -67,6 +67,8 @@ std::unique_ptr<LoadBalancer> make_lb(LbKind kind, std::uint64_t flow_id,
 /// allocation. Completions are ignored unless a subclass listens.
 class SchemeStack : public FlowStack {
  public:
+  /// The shared transport knobs take MTU, EC block shape and block timeout
+  /// from `cfg`.
   SchemeStack(const SchemeSpec& scheme, const UnoConfig& cfg, std::uint64_t seed);
 
   CongestionControl* build_cc(void* where, const FlowParams& p) const override;

@@ -9,7 +9,10 @@
 // after warm-up, `acquires()` grows while `heap_allocs()` (chunks) stays
 // flat — the same testable zero-allocation contract as the FEC ArenaPool
 // (fec/arena.hpp). Size classes step by 16 bytes up to 1 KiB (a flow engine
-// pays for its exact size, not the next power of two), then double.
+// pays for its exact size, not the next power of two), then double. Blocks
+// too big to carve pass straight through to the heap: a ring that doubles
+// its way up would otherwise strand every smaller block it outgrew on a
+// free list no other holder asks for.
 //
 // Not thread-safe by design: the experiment owns one pool per PDES shard.
 // During a window only that shard's thread touches it (flow engines start
@@ -46,8 +49,8 @@ class SlabPool {
   static constexpr std::size_t kGrain = 16;         // fine class step
   static constexpr std::size_t kFineLimit = 1024;   // fine classes up to here
   static constexpr std::size_t kChunkBytes = 16 * 1024;
-  /// Blocks above this get a heap allocation of their own (still pooled on
-  /// release), so a chunk's unusable tail stays under 1/8 of it.
+  /// Blocks above this are plain heap allocations, freed on release, so a
+  /// chunk's unusable tail stays under 1/8 of it.
   static constexpr std::size_t kCarveLimit = kChunkBytes / 8;
 
   SlabPool() = default;
@@ -71,6 +74,10 @@ class SlabPool {
     const std::size_t block = size_of(cls);
     live_bytes_ += block;
     if (live_bytes_ > peak_live_bytes_) peak_live_bytes_ = live_bytes_;
+    if (block > kCarveLimit) {
+      ++heap_allocs_;
+      return ::operator new(block);
+    }
     void* p;
     if (cls < free_.size() && free_[cls] != nullptr) {
       Free* f = free_[cls];
@@ -92,6 +99,10 @@ class SlabPool {
     const std::size_t block = size_of(cls);
     assert(live_bytes_ >= block);
     live_bytes_ -= block;
+    if (block > kCarveLimit) {
+      ::operator delete(p);
+      return;
+    }
     if (free_.size() <= cls) free_.resize(cls + 1, nullptr);
     // Intrusive free list: the link lives in the freed block itself, so
     // recycling never allocates.
@@ -115,7 +126,8 @@ class SlabPool {
 
   std::uint64_t acquires() const { return acquires_; }
   std::uint64_t releases() const { return releases_; }
-  /// Heap allocations behind the pool: chunks, plus blocks too big to carve.
+  /// Heap allocations behind the pool: chunks, plus every acquire of a block
+  /// too big to carve.
   std::uint64_t heap_allocs() const { return heap_allocs_; }
   /// Bytes currently handed out to live holders (size-class rounded).
   std::size_t live_bytes() const { return live_bytes_; }
@@ -142,7 +154,6 @@ class SlabPool {
   }
 
   void* carve(std::size_t block) {
-    if (block > kCarveLimit) return new_chunk(block);
     if (static_cast<std::size_t>(chunk_end_ - cursor_) < block) {
       cursor_ = static_cast<unsigned char*>(new_chunk(kChunkBytes));
       chunk_end_ = cursor_ + kChunkBytes;
@@ -161,7 +172,7 @@ class SlabPool {
   }
 
   std::vector<Free*> free_;     // per size class
-  /// Every heap allocation (address, bytes), freed on destruction.
+  /// Every chunk (address, bytes), freed on destruction.
   std::vector<std::pair<void*, std::size_t>> chunks_;
   unsigned char* cursor_ = nullptr;
   unsigned char* chunk_end_ = nullptr;
@@ -279,6 +290,10 @@ class ChunkedVec {
     assert(i < size_);
     return *std::launder(reinterpret_cast<T*>(slot(i)));
   }
+  const T& operator[](std::size_t i) const {
+    assert(i < size_);
+    return *std::launder(reinterpret_cast<const T*>(slot(i)));
+  }
   std::size_t size() const { return size_; }
 
   void clear() {
@@ -292,7 +307,9 @@ class ChunkedVec {
   struct Chunk {
     alignas(T) unsigned char bytes[kChunk * sizeof(T)];
   };
-  void* slot(std::size_t i) { return chunks_[i / kChunk]->bytes + (i % kChunk) * sizeof(T); }
+  void* slot(std::size_t i) const {
+    return chunks_[i / kChunk]->bytes + (i % kChunk) * sizeof(T);
+  }
 
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::size_t size_ = 0;

@@ -18,15 +18,13 @@ ChannelLink::ChannelLink(EventQueue& src_eq, EventQueue& dst_eq,
   assert(!split_ || latency_ >= 2);
 }
 
-void ChannelLink::insert_pending(InFlight&& f) {
-  auto it = pending_.end();
-  while (it != pending_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->due < f.due || (prev->due == f.due && prev->chanseq < f.chanseq))
-      break;
-    it = prev;
+void ChannelLink::insert_pending(const InFlight& f) {
+  std::size_t i = pending_.size();
+  for (; i > 0; --i) {
+    const InFlight& prev = pending_[i - 1];
+    if (prev.due < f.due || (prev.due == f.due && prev.chanseq < f.chanseq)) break;
   }
-  pending_.insert(it, std::move(f));
+  pending_.insert(i, f);
 }
 
 void ChannelLink::schedule_front() {
@@ -46,9 +44,9 @@ void ChannelLink::receive(Packet&& p) {
   const Time due = src_eq_.now() + latency_;
   const std::uint64_t cs = next_chanseq_++;
   if (split_) {
-    staging_.push_back(InFlight{due, cs, false, std::move(p)});
+    staging_.push_back(InFlight{due, cs, false, p});
   } else {
-    insert_pending(InFlight{due, cs, false, std::move(p)});
+    insert_pending(InFlight{due, cs, false, p});
     schedule_front();
   }
   note_occupancy();
@@ -56,10 +54,8 @@ void ChannelLink::receive(Packet&& p) {
 
 std::size_t ChannelLink::flush_staged() {
   const std::size_t n = staging_.size();
-  while (!staging_.empty()) {
-    insert_pending(std::move(staging_.front()));
-    staging_.pop_front();
-  }
+  for (std::size_t i = 0; i < n; ++i) insert_pending(staging_[i]);
+  staging_.clear();
   schedule_front();
   pending_at_flush_ = pending_.size();
   note_occupancy();
@@ -70,11 +66,11 @@ void ChannelLink::on_event(std::uint64_t chanseq) {
   // Almost always the front entry; scan tolerates the due-order inversion a
   // mid-run latency decrease can cause (the displaced ex-front keeps its own
   // live event, so every entry still dispatches exactly once, at its key).
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->chanseq != chanseq) continue;
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    if (pending_[i].chanseq != chanseq) continue;
     ++delivered_;
-    Packet p = std::move(it->p);  // erase first: forward() may grow pending_
-    pending_.erase(it);
+    Packet p = pending_[i].p;  // erase first: forward() may grow pending_
+    pending_.erase(i);
     schedule_front();  // chain the next head before forward() can ingress
     forward(std::move(p));
     return;

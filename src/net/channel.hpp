@@ -23,10 +23,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 
+#include "core/ring.hpp"
 #include "net/loss.hpp"
 #include "net/packet.hpp"
 #include "sim/event.hpp"
@@ -89,7 +89,7 @@ class ChannelLink final : public PacketSink,
   /// Keep pending_ in (due, chanseq) order — the order the canonical keys
   /// dispatch in. Dues are monotone except across a latency decrease, so
   /// the back-scan almost always terminates immediately.
-  void insert_pending(InFlight&& f);
+  void insert_pending(const InFlight& f);
   /// Put the front entry's delivery event into the destination queue if it
   /// does not have one yet. Head chaining: scheduling one event per channel
   /// instead of one per in-flight packet keeps the destination queue depth
@@ -119,12 +119,14 @@ class ChannelLink final : public PacketSink,
   const std::uint16_t id_;
   std::uint64_t next_chanseq_ = 0;
   /// Written by the source shard during a window; drained at the barrier.
-  std::deque<InFlight> staging_;
+  /// Both rings recycle their nodes, so a steady crossing rate allocates
+  /// nothing, and their memory follows occupancy (core/ring.hpp).
+  NodeRing<InFlight> staging_;
   /// In-flight packets in (due, chanseq) order, owned by the destination
   /// shard between barriers. Delivery is looked up by chanseq rather than
   /// popped front — a mid-run latency decrease (edge scripts) can leave a
   /// displaced ex-front with a live event behind the new head.
-  std::deque<InFlight> pending_;
+  NodeRing<InFlight> pending_;
   /// pending_.size() snapshot taken at the last barrier flush; the only
   /// pending_ figure the source-side ingress may read (see note_occupancy).
   std::size_t pending_at_flush_ = 0;

@@ -4,7 +4,7 @@ namespace uno {
 
 std::uint64_t EventQueue::run_until(Time deadline) {
   std::uint64_t n = 0;
-  const detail::HandlerRegistry* const reg = registry_.get();
+  const detail::HandlerRegistry* const reg = &registry_;
   for (;;) {
     if (heap_.empty()) {
       // The heap holds the entire current quantum, so an empty heap means
@@ -61,7 +61,7 @@ void EventQueue::compact() {
   // and not reported logically dead by the handler (superseded Timer arms).
   // {t, seq} is a total order, so the Floyd rebuild preserves fire order;
   // wheel buckets are unordered anyway (the heap re-sorts them on drain).
-  const auto& slots = registry_->slots;
+  const auto& slots = registry_.slots;
   const auto dead = [&slots](const Entry& e) {
     const detail::HandlerRegistry::Slot& s = slots[e.slot];
     return s.generation != e.gen || s.handler->event_stale(e.tag);

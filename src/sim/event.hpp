@@ -23,7 +23,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -36,10 +35,11 @@ class EventQueue;
 
 namespace detail {
 
-/// Maps small integer slots to live handlers. Owned (shared) by the queue
-/// and every registered handler, so whichever dies last tears it down.
-/// A slot's generation bumps when its handler is destroyed, invalidating
-/// every heap entry scheduled against the old incarnation.
+/// Maps small integer slots to live handlers. Owned by the queue; each bound
+/// handler keeps a plain back-pointer to it, which the queue's destructor
+/// clears on every handler still bound. A slot's generation bumps when its
+/// handler is destroyed, invalidating every heap entry scheduled against
+/// the old incarnation.
 struct HandlerRegistry {
   struct Slot {
     EventHandler* handler = nullptr;
@@ -73,12 +73,16 @@ struct HandlerRegistry {
 /// Handlers are registered with a queue's slot registry on first schedule;
 /// events scheduled against a handler that has since been destroyed are
 /// silently skipped, so tearing down a component (e.g. a Flow mid-flight)
-/// never leaves dangling wakeups.
+/// never leaves dangling wakeups. Either side may die first: a handler
+/// releases its slot, a queue unbinds every handler still registered. The
+/// binding is a raw pointer plus a slot (20 bytes with the vptr; derived
+/// classes may pack a 4-byte member into the tail), so a handler and its
+/// queue must never be touched by two threads at once.
 class EventHandler {
  public:
   EventHandler() = default;
   virtual ~EventHandler() {
-    if (registry_) registry_->release(slot_);
+    if (registry_ != nullptr) registry_->release(slot_);
   }
   EventHandler(const EventHandler&) = delete;
   EventHandler& operator=(const EventHandler&) = delete;
@@ -100,14 +104,20 @@ class EventHandler {
 
  private:
   friend class EventQueue;
-  std::shared_ptr<detail::HandlerRegistry> registry_;
+  detail::HandlerRegistry* registry_ = nullptr;  // null while unbound
   std::uint32_t slot_ = 0;
 };
 
 class EventQueue {
  public:
-  EventQueue() : registry_(std::make_shared<detail::HandlerRegistry>()) {
+  EventQueue() {
     heap_.reserve(1024);  // skip the early growth reallocations
+  }
+  /// Unbinds every handler still registered, so one that outlives the
+  /// queue never releases into a dead registry.
+  ~EventQueue() {
+    for (const detail::HandlerRegistry::Slot& s : registry_.slots)
+      if (s.handler != nullptr) s.handler->registry_ = nullptr;
   }
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -125,10 +135,10 @@ class EventQueue {
       t = now_;
       ++clamped_;
     }
-    if (handler->registry_.get() != registry_.get()) bind(handler);
+    if (handler->registry_ != &registry_) bind(handler);
     const std::uint32_t slot = handler->slot_;
     push_entry(t, Entry{make_key(t, next_seq_++), tag, slot,
-                        registry_->slots[slot].generation});
+                        registry_.slots[slot].generation});
   }
 
   /// Schedule after a relative delay.
@@ -164,10 +174,10 @@ class EventQueue {
       t = now_;
       ++clamped_;
     }
-    if (handler->registry_.get() != registry_.get()) bind(handler);
+    if (handler->registry_ != &registry_) bind(handler);
     const std::uint32_t slot = handler->slot_;
     push_entry(t, Entry{make_key(t, seq64), tag, slot,
-                        registry_->slots[slot].generation});
+                        registry_.slots[slot].generation});
   }
 
   /// Run events until the queue is empty or the clock passes `deadline`.
@@ -282,9 +292,9 @@ class EventQueue {
     // Lazy registration; a handler outliving its queue may be re-bound to a
     // fresh queue, abandoning (= invalidating) anything still pending in
     // the old one.
-    if (h->registry_) h->registry_->release(h->slot_);
-    h->slot_ = registry_->acquire(h);
-    h->registry_ = registry_;
+    if (h->registry_ != nullptr) h->registry_->release(h->slot_);
+    h->slot_ = registry_.acquire(h);
+    h->registry_ = &registry_;
   }
 
   void sift_up(std::size_t i) {
@@ -351,7 +361,7 @@ class EventQueue {
     }
   };
 
-  std::shared_ptr<detail::HandlerRegistry> registry_;
+  detail::HandlerRegistry registry_;
   std::vector<Entry> heap_;
   TimingWheel<Entry, EntryQuantum> wheel_;
   Time now_ = 0;

@@ -52,20 +52,8 @@ struct ClassSamples {
 
 }  // namespace
 
-void FctCollector::canonicalize() {
-  // (finish time, id) is a total order — ids are unique — so an unstable
-  // sort gives the same sequence a stable one would.
-  std::sort(results_.begin(), results_.end(),
-                   [](const FlowResult& a, const FlowResult& b) {
-                     const Time fa = a.start_time + a.completion_time;
-                     const Time fb = b.start_time + b.completion_time;
-                     if (fa != fb) return fa < fb;
-                     return a.id < b.id;
-                   });
-}
-
-FctSummary FctCollector::summarize(Class cls) const {
-  return summarize_if([cls](const FlowResult& r) {
+FctSummary FctCollector::summarize(const std::vector<FlowResult>& results, Class cls) const {
+  return summarize_if(results, [cls](const FlowResult& r) {
     switch (cls) {
       case Class::kIntra:
         return !r.interdc;
@@ -77,9 +65,10 @@ FctSummary FctCollector::summarize(Class cls) const {
   });
 }
 
-FctSummary FctCollector::summarize_if(const std::function<bool(const FlowResult&)>& pred) const {
+FctSummary FctCollector::summarize_if(const std::vector<FlowResult>& results,
+                                      const std::function<bool(const FlowResult&)>& pred) const {
   ClassSamples c;
-  for (const FlowResult& r : results_) {
+  for (const FlowResult& r : results) {
     if (!pred(r)) continue;
     c.fcts.push_back(to_microseconds(r.completion_time));
     if (ideal_fn_) {
@@ -92,11 +81,12 @@ FctSummary FctCollector::summarize_if(const std::function<bool(const FlowResult&
   return c.finish();
 }
 
-FctCollector::Classes FctCollector::summarize_classes() const {
+FctCollector::Classes FctCollector::summarize_classes(
+    const std::vector<FlowResult>& results) const {
   ClassSamples all, intra, inter;
-  all.fcts.reserve(results_.size());
-  if (ideal_fn_) all.slowdowns.reserve(results_.size());
-  for (const FlowResult& r : results_) {
+  all.fcts.reserve(results.size());
+  if (ideal_fn_) all.slowdowns.reserve(results.size());
+  for (const FlowResult& r : results) {
     ClassSamples& cls = r.interdc ? inter : intra;
     const double fct = to_microseconds(r.completion_time);
     all.fcts.push_back(fct);

@@ -24,6 +24,16 @@ struct FctSummary {
   double p99_slowdown = 0;
 };
 
+/// The canonical result order: finish time (start + FCT), then flow id.
+/// Ids are unique, so the order is total — a pure function of simulation
+/// content, identical for every shard count (DESIGN.md §14).
+inline bool canonical_before(const FlowResult& a, const FlowResult& b) {
+  const Time fa = flow_finish_time(a), fb = flow_finish_time(b);
+  return fa != fb ? fa < fb : a.id < b.id;
+}
+
+/// FCT summaries over a list of results (Experiment::result().flows). Holds
+/// no results itself: the flow records are the run's only per-flow store.
 class FctCollector {
  public:
   /// `ideal_fn` computes a flow's unloaded FCT (used for slowdowns); pass
@@ -31,28 +41,19 @@ class FctCollector {
   using IdealFn = std::function<Time(const FlowResult&)>;
   explicit FctCollector(IdealFn ideal_fn = nullptr) : ideal_fn_(std::move(ideal_fn)) {}
 
-  void add(const FlowResult& r) { results_.push_back(r); }
-
-  std::size_t count() const { return results_.size(); }
-  const std::vector<FlowResult>& results() const { return results_; }
-
-  /// Re-order results into canonical (finish time, flow id) order. Completion
-  /// *recording* order is a shard-count artifact under conservative PDES
-  /// (per-shard completions drain at barriers), so Experiment canonicalizes
-  /// at end of run in every mode — flow id is unique, making the order total
-  /// and therefore identical for any shard count (DESIGN.md §14).
-  void canonicalize();
-
   enum class Class { kAll, kIntra, kInter };
-  FctSummary summarize(Class cls = Class::kAll) const;
+  /// Sums run in list order, so a list in canonical order gives the same
+  /// means for every shard count.
+  FctSummary summarize(const std::vector<FlowResult>& results, Class cls = Class::kAll) const;
   /// All three classes in one pass over the results, each equal to its
   /// summarize(cls) bit for bit.
   struct Classes {
     FctSummary all, intra, inter;
   };
-  Classes summarize_classes() const;
+  Classes summarize_classes(const std::vector<FlowResult>& results) const;
   /// Summary over an arbitrary subset.
-  FctSummary summarize_if(const std::function<bool(const FlowResult&)>& pred) const;
+  FctSummary summarize_if(const std::vector<FlowResult>& results,
+                          const std::function<bool(const FlowResult&)>& pred) const;
 
   /// Ideal FCT model: store-and-forward pipe of `rate` with base RTT —
   /// size/rate + rtt (the paper's Fig. 1 completion-time model).
@@ -60,7 +61,6 @@ class FctCollector {
 
  private:
   IdealFn ideal_fn_;
-  std::vector<FlowResult> results_;
 };
 
 /// p-th percentile (p in [0,100]) of a copy of `values`, interpolating

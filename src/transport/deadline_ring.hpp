@@ -7,13 +7,13 @@
 // flat array kept sorted by block id (insertion is almost always a
 // push_back; out-of-order inserts shift a handful of tail entries), which
 // preserves the std::map iteration order the NACK schedule was tuned on and
-// reuses its capacity forever — no allocation in steady state.
+// reuses its capacity for the receiver's life. Its store comes from the
+// receiver's slab pool, so flow churn recycles it instead of allocating.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
-#include <vector>
 
+#include "core/ring.hpp"
 #include "sim/time.hpp"
 
 namespace uno {
@@ -25,27 +25,28 @@ class DeadlineRing {
     Time deadline;
   };
 
+  /// Storage from `pool` (the heap when null).
+  explicit DeadlineRing(SlabPool* pool = nullptr) : entries_(pool) {}
+
   /// Insert `block` or update its deadline. Keeps entries sorted by block.
   void set(std::uint32_t block, Time deadline) {
-    for (std::size_t i = entries_.size(); i > 0; --i) {
-      if (entries_[i - 1].block == block) {
-        entries_[i - 1].deadline = deadline;
+    std::size_t i = entries_.size();
+    for (; i > 0; --i) {
+      Entry& e = entries_[i - 1];
+      if (e.block == block) {
+        e.deadline = deadline;
         return;
       }
-      if (entries_[i - 1].block < block) {
-        entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(i),
-                        Entry{block, deadline});
-        return;
-      }
+      if (e.block < block) break;
     }
-    entries_.insert(entries_.begin(), Entry{block, deadline});
+    entries_.insert(i, Entry{block, deadline});
   }
 
   /// Drop `block` if pending.
   void erase(std::uint32_t block) {
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       if (entries_[i].block == block) {
-        entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+        entries_.erase(i);
         return;
       }
     }
@@ -57,7 +58,8 @@ class DeadlineRing {
   /// Earliest pending deadline, or kTimeInfinity when none.
   Time earliest() const {
     Time t = kTimeInfinity;
-    for (const Entry& e : entries_) t = e.deadline < t ? e.deadline : t;
+    for (std::size_t i = 0; i < entries_.size(); ++i)
+      t = entries_[i].deadline < t ? entries_[i].deadline : t;
     return t;
   }
 
@@ -65,14 +67,15 @@ class DeadlineRing {
   /// deadline for that block (re-arm semantics of the NACK retry schedule).
   template <typename Fn>
   void expire(Time now, Fn&& fn) {
-    for (Entry& e : entries_) {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      Entry& e = entries_[i];
       if (e.deadline > now) continue;
       e.deadline = fn(e.block);
     }
   }
 
  private:
-  std::vector<Entry> entries_;
+  PodRing<Entry> entries_;
 };
 
 }  // namespace uno

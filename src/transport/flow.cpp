@@ -37,9 +37,9 @@ const std::string& flow_name(std::uint64_t id, const char* end) {
 // ---------------------------------------------------------------------------
 
 struct FlowSender::Payload {
-  explicit Payload(const FlowParams& p)
-      : frame(p.size_bytes, p.mtu, p.ec_enabled, p.ec_data, p.ec_parity),
-        store(p.id, frame, p.payload_shard_bytes) {}
+  Payload(const FlowParams& p, const TransportParams& t)
+      : frame(p.size_bytes, t.mtu, p.ec_enabled, t.ec_data, t.ec_parity),
+        store(p.id, frame, t.payload_shard_bytes) {}
   BlockFrame frame;  // the store's framing, outliving the engine's
   PayloadStore store;
 };
@@ -102,6 +102,7 @@ class FlowSender::Engine {
   FlowSender& s_;
   EventQueue& eq_;
   const FlowParams& params_;
+  const TransportParams& transport_;
   const PathSet* paths_;
   CongestionControl* cc_;
   LoadBalancer* lb_;
@@ -141,12 +142,15 @@ FlowSender::Engine::Engine(FlowSender& s, unsigned char* block)
     : s_(s),
       eq_(s.eq_),
       params_(s.params_),
+      transport_(s.transport()),
       paths_(s.paths_),
       cc_(s.stack_->build_cc(block + cc_offset(), s.params_)),
       lb_(s.stack_->build_lb(block + lb_offset(*s.stack_), s.params_,
                              static_cast<std::uint16_t>(s.paths_->size()), s.pool_)),
-      frame_(params_.size_bytes, params_.mtu, params_.ec_enabled, params_.ec_data,
-             params_.ec_parity, s.pool_) {
+      frame_(params_.size_bytes, transport_.mtu, params_.ec_enabled, transport_.ec_data,
+             transport_.ec_parity, s.pool_),
+      rtx_queue_(s.pool_),
+      send_order_(s.pool_) {
   cc_->set_trace(s.trace_);
   lb_->set_trace(s.trace_);
   meta_.assign(frame_.total_packets(), PktMeta{}, s.pool_);
@@ -295,7 +299,7 @@ Time FlowSender::Engine::oldest_inflight_sent() {
 }
 
 void FlowSender::Engine::detect_losses() {
-  const Time window = params_.effective_rack_window();
+  const Time window = transport_.effective_rack_window(params_.base_rtt);
   const Time expiry = params_.effective_loss_expiry();
   const Time now = eq_.now();
   bool lost_any = false;
@@ -344,7 +348,7 @@ void FlowSender::Engine::handle_nack(const Packet& nack) {
   // never land). Blame the path of the first missing shard.
   const std::uint64_t first = frame_.first_seq_of_block(block);
   const std::uint64_t end = first + frame_.shards_in_block(block);
-  const Time stale_before = eq_.now() - params_.block_timeout;
+  const Time stale_before = eq_.now() - transport_.block_timeout;
   bool blamed = false;
   std::uint64_t requeued = 0;
   for (std::uint64_t seq = first; seq < end; ++seq) {
@@ -383,7 +387,8 @@ void FlowSender::Engine::on_rto() {
   // retransmitting (refreshing packet ages), so a truly dead path would
   // otherwise never escalate to the CC/LB timeout reaction.
   const Time last_heard = std::max(last_progress_, first_send_time_);
-  if (now - last_heard >= params_.effective_rto()) {
+  const Time rto = transport_.effective_rto(params_.base_rtt);
+  if (now - last_heard >= rto) {
     // Everything outstanding is presumed lost (selective-repeat recovery:
     // any shard acked in the meantime is skipped when the queue drains).
     for (std::uint64_t seq = 0; seq < frame_.total_packets(); ++seq) {
@@ -406,7 +411,7 @@ void FlowSender::Engine::on_rto() {
   }
   if (oldest >= 0) {
     const Time next = std::max(oldest + params_.effective_loss_expiry(), now + 1);
-    arm_rto_at(std::min(next, last_heard + params_.effective_rto()));
+    arm_rto_at(std::min(next, last_heard + rto));
   }
 }
 
@@ -425,8 +430,10 @@ FlowSender::FlowSender(EventQueue& eq, const FlowParams& params, const PathSet* 
                        FlowStack& stack, SlabPool* pool)
     : eq_(eq), params_(params), paths_(paths), stack_(&stack), pool_(pool) {
   assert(paths_ != nullptr && !paths_->empty());
-  if (params_.verify_payload && params_.ec_enabled && params_.ec_parity > 0)
-    payload_ = std::make_unique<Payload>(params_);
+  assert(total_packets() < (1ull << 32) && "packet counters are 32-bit");
+  const TransportParams& t = transport();
+  if (t.verify_payload && params_.ec_enabled && t.ec_parity > 0)
+    payload_ = std::make_unique<Payload>(params_, t);
 }
 
 FlowSender::~FlowSender() {
@@ -533,11 +540,15 @@ void FlowSender::complete() {
   engine_->cancel_rto();
   // Shards still in kLost were never retransmitted, yet every block is
   // decodable: parity masked those losses.
-  fec_masked_ = engine_->count_lost();
+  fec_masked_ = static_cast<std::uint32_t>(engine_->count_lost());
   if (fec_masked_ > 0)
     UNO_TRACE_EVENT(trace_, TraceKind::kFecMasked, eq_.now(), fec_masked_, total_packets());
   reroutes_ = static_cast<std::uint32_t>(reroutes());
   destroy_engine();
+  stack_->flow_completed(result());
+}
+
+FlowResult FlowSender::result() const {
   FlowResult r;
   r.id = params_.id;
   r.src = params_.src;
@@ -550,7 +561,7 @@ void FlowSender::complete() {
   r.retransmits = retransmits_;
   r.nacks = nacks_received_;
   r.fec_masked = fec_masked_;
-  stack_->flow_completed(r);
+  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -561,10 +572,11 @@ void FlowSender::complete() {
 /// until the message completes (for good in verify mode).
 class FlowReceiver::Engine {
  public:
-  Engine(const FlowParams& p, SlabPool* pool)
-      : frame(p.size_bytes, p.mtu, p.ec_enabled, p.ec_data, p.ec_parity, pool) {
-    if (p.verify_payload && frame.ec_enabled())
-      verifier = std::make_unique<PayloadVerifier>(p.id, frame, p.payload_shard_bytes);
+  Engine(const FlowParams& p, const TransportParams& t, SlabPool* pool)
+      : frame(p.size_bytes, t.mtu, p.ec_enabled, t.ec_data, t.ec_parity, pool),
+        block_deadline(pool) {
+    if (t.verify_payload && frame.ec_enabled())
+      verifier = std::make_unique<PayloadVerifier>(p.id, frame, t.payload_shard_bytes);
   }
 
   /// Arrivals and per-block shard accounting (degenerate for non-EC).
@@ -579,6 +591,7 @@ FlowReceiver::FlowReceiver(EventQueue& eq, const FlowSender& sender, SlabPool* p
     : eq_(eq), sender_(sender), pool_(pool) {}
 
 const FlowParams& FlowReceiver::params() const { return sender_.params(); }
+const TransportParams& FlowReceiver::transport() const { return sender_.transport(); }
 const PathSet& FlowReceiver::paths() const { return sender_.paths(); }
 const std::string& FlowReceiver::name() const { return flow_name(params().id, ".rcv"); }
 
@@ -640,7 +653,7 @@ void FlowReceiver::receive(Packet&& p) {
     return;
   }
   if (engine_ == nullptr)
-    engine_ = ::new (acquire_engine(pool_, sizeof(Engine))) Engine(params(), pool_);
+    engine_ = ::new (acquire_engine(pool_, sizeof(Engine))) Engine(params(), transport(), pool_);
   Engine& e = *engine_;
   assert(seq < e.frame.total_packets());
 
@@ -656,7 +669,7 @@ void FlowReceiver::receive(Packet&& p) {
       } else {
         // (Re)start the reassembly timer: any arrival is progress, so the
         // NACK deadline counts from the latest shard, not the first.
-        e.block_deadline.set(block, eq_.now() + params().block_timeout);
+        e.block_deadline.set(block, eq_.now() + transport().block_timeout);
         arm_block_timer();
       }
     }
@@ -704,7 +717,7 @@ void FlowReceiver::on_event(std::uint64_t tag) {
     engine_->block_deadline.expire(now, [&](std::uint32_t block) {
       send_nack(block, last_entropy_);
       // Re-NACK later if the retransmission round trip also fails.
-      return now + params().base_rtt + params().block_timeout;
+      return now + params().base_rtt + transport().block_timeout;
     });
   }
   arm_block_timer();

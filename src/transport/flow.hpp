@@ -32,17 +32,34 @@
 
 namespace uno {
 
+/// One flow's own parameters, stored in its record. The knobs every flow of
+/// a run shares live once in the run's FlowStack (TransportParams below).
 struct FlowParams {
   std::uint64_t id = 0;
   int src = 0;
   int dst = 0;
   std::uint64_t size_bytes = 0;
-  std::int64_t mtu = 4096;
   Time start_time = 0;
+  Time base_rtt = 14 * kMicrosecond;
   bool interdc = false;
-
-  // Erasure coding (UnoRC). Applied only when enabled (inter-DC flows).
+  /// Erasure coding (UnoRC): the experiment enables it on inter-DC flows.
   bool ec_enabled = false;
+
+  /// Wall-clock bound: a packet outstanding this long is lost even if no
+  /// newer packet has been ACKed (clears "ghost" inflight when sending is
+  /// window-blocked, without waiting for the full RTO). Must exceed the
+  /// worst-case queueing delay during overload transients or it creates
+  /// duplicate-retransmission spirals.
+  Time effective_loss_expiry() const {
+    return std::max<Time>(3 * base_rtt, 3 * kMillisecond);
+  }
+};
+
+/// Transport knobs shared by every flow of a run, held once by its
+/// FlowStack rather than copied into each flow record.
+struct TransportParams {
+  std::int64_t mtu = 4096;
+  /// EC block shape, applied to flows with FlowParams::ec_enabled.
   int ec_data = 8;
   int ec_parity = 2;
   /// Receiver-side block reassembly timer ("estimated maximum queuing and
@@ -54,13 +71,10 @@ struct FlowParams {
   /// bit-for-bit. Costs memory/CPU; meant for tests and validation runs.
   bool verify_payload = false;
   std::size_t payload_shard_bytes = 256;
-
-  Time base_rtt = 14 * kMicrosecond;
   /// Retransmission timeout; 0 derives max(4*base_rtt, 1ms). The floor keeps
   /// intra-DC flows from spurious go-back-N under transient full queues
   /// (~84us of queuing per congested 1 MiB hop dwarfs the 14us base RTT).
   Time rto = 0;
-
   /// RACK-style reordering window: a packet is declared lost once a packet
   /// *sent this much later* has been ACKed. With trimming providing exact
   /// per-packet loss signals, RACK is a backstop for hard drops (failed
@@ -69,19 +83,11 @@ struct FlowParams {
   /// max(base_rtt, 300us).
   Time rack_window = 0;
 
-  Time effective_rto() const {
+  Time effective_rto(Time base_rtt) const {
     return rto > 0 ? rto : std::max<Time>(4 * base_rtt, kMillisecond);
   }
-  Time effective_rack_window() const {
+  Time effective_rack_window(Time base_rtt) const {
     return rack_window > 0 ? rack_window : std::max<Time>(base_rtt, 300 * kMicrosecond);
-  }
-  /// Wall-clock bound: a packet outstanding this long is lost even if no
-  /// newer packet has been ACKed (clears "ghost" inflight when sending is
-  /// window-blocked, without waiting for the full RTO). Must exceed the
-  /// worst-case queueing delay during overload transients or it creates
-  /// duplicate-retransmission spirals.
-  Time effective_loss_expiry() const {
-    return std::max<Time>(3 * base_rtt, 3 * kMillisecond);
   }
 };
 
@@ -100,23 +106,34 @@ struct FlowResult {
   /// Shards still marked lost when the message completed: losses the
   /// erasure code masked, sparing a retransmission (0 for non-EC flows).
   std::uint64_t fec_masked = 0;
+
+  bool operator==(const FlowResult&) const = default;
 };
 
+/// Absolute simulation time a flow finished (FlowResult::completion_time is
+/// the FCT *duration*) — the clock closed-loop scenarios react against.
+inline Time flow_finish_time(const FlowResult& r) {
+  return r.start_time + r.completion_time;
+}
+
 /// The run-wide half of every flow, reached through one pointer per flow
-/// record instead of per-flow heap objects and closures: builds each flow's
-/// congestion controller and load balancer in place when its engine starts
-/// (the closed set of kinds lives in core/scheme.cpp), and hears every
-/// completion.
+/// record instead of per-flow heap objects and closures: holds the shared
+/// transport knobs, builds each flow's congestion controller and load
+/// balancer in place when its engine starts (the closed set of kinds lives
+/// in core/scheme.cpp), and hears every completion.
 class FlowStack {
  public:
   /// `cc_bytes` / `lb_bytes`: in-place storage every build_cc / build_lb
   /// result fits in (max-aligned).
-  FlowStack(std::size_t cc_bytes, std::size_t lb_bytes)
-      : cc_bytes_(cc_bytes), lb_bytes_(lb_bytes) {}
+  FlowStack(std::size_t cc_bytes, std::size_t lb_bytes, const TransportParams& transport = {})
+      : cc_bytes_(cc_bytes), lb_bytes_(lb_bytes), transport_(transport) {}
   virtual ~FlowStack() = default;
 
   std::size_t cc_bytes() const { return cc_bytes_; }
   std::size_t lb_bytes() const { return lb_bytes_; }
+  const TransportParams& transport() const { return transport_; }
+  /// Replace the shared knobs; only before any flow on this stack is built.
+  void set_transport(const TransportParams& t) { transport_ = t; }
 
   /// Construct the flow's congestion controller in `where`.
   virtual CongestionControl* build_cc(void* where, const FlowParams& p) const = 0;
@@ -125,12 +142,13 @@ class FlowStack {
   virtual LoadBalancer* build_lb(void* where, const FlowParams& p, std::uint16_t num_paths,
                                  SlabPool* pool) const = 0;
   /// A flow completed. Runs on the sender's shard thread, after the flow's
-  /// engine has been recycled.
+  /// engine has been recycled; `r` is built from the record.
   virtual void flow_completed(const FlowResult& r) { (void)r; }
 
  private:
   std::size_t cc_bytes_;
   std::size_t lb_bytes_;
+  TransportParams transport_;
 };
 
 // A flow is split by lifetime. Its *record* — FlowSender + FlowReceiver,
@@ -165,7 +183,7 @@ class FlowReceiver final : public PacketSink, public EventHandler {
   std::uint64_t duplicates() const { return duplicates_; }
   std::uint64_t nacks_sent() const { return nacks_sent_; }
   std::uint64_t trims_seen() const { return trims_seen_; }
-  /// Payload verification outcomes (0 unless FlowParams::verify_payload).
+  /// Payload verification outcomes (0 unless TransportParams::verify_payload).
   std::uint32_t payload_blocks_verified() const;
   std::uint32_t payload_blocks_corrupt() const;
   /// Arena-pool counters (0 unless verify_payload): heap allocs flat while
@@ -191,23 +209,25 @@ class FlowReceiver final : public PacketSink, public EventHandler {
   void destroy_engine();
 
   const FlowParams& params() const;
+  const TransportParams& transport() const;
   const PathSet& paths() const;
   const PayloadVerifier* verifier() const;
 
+  // Packet counters are 32-bit (a flow would need 16 TiB at a 4 KiB MTU to
+  // wrap one); the first packs into EventHandler's tail padding.
+  std::uint32_t received_count_ = 0;
   EventQueue& eq_;
   const FlowSender& sender_;
   SlabPool* pool_;
   Engine* engine_ = nullptr;  // null until the first data packet, and once retired
-
-  std::uint64_t received_count_ = 0;
-  std::uint64_t duplicates_ = 0;
-  std::uint64_t nacks_sent_ = 0;
-  std::uint64_t trims_seen_ = 0;
+  std::uint32_t duplicates_ = 0;
+  std::uint32_t nacks_sent_ = 0;
+  std::uint32_t trims_seen_ = 0;
+  std::uint16_t last_entropy_ = 0;
+  bool retired_ = false;
   /// Stays with the record: a block timer still armed at completion fires
   /// later (and counts as an event) exactly as it would have.
   TagTimer block_timer_;
-  std::uint16_t last_entropy_ = 0;
-  bool retired_ = false;
   TraceContext trace_;
 };
 
@@ -231,6 +251,8 @@ class FlowSender final : public PacketSink, public EventHandler {
 
   // --- observability ---------------------------------------------------------
   const FlowParams& params() const { return params_; }
+  /// The run-wide knobs, held by the flow's stack.
+  const TransportParams& transport() const { return stack_->transport(); }
   const PathSet& paths() const { return *paths_; }
   /// Started and not yet complete: the engine (and with it cc()/lb())
   /// exists only then.
@@ -255,9 +277,12 @@ class FlowSender final : public PacketSink, public EventHandler {
   /// 0 unless live.
   std::int64_t bytes_in_flight() const;
   std::uint64_t total_packets() const {
-    return BlockFrame::packets_for(params_.size_bytes, params_.mtu, params_.ec_enabled,
-                                   params_.ec_data, params_.ec_parity);
+    const TransportParams& t = transport();
+    return BlockFrame::packets_for(params_.size_bytes, t.mtu, params_.ec_enabled, t.ec_data,
+                                   t.ec_parity);
   }
+  /// What the completion hook sees, built from the record (valid once done()).
+  FlowResult result() const;
 
   /// Attach the whole sender stack (rtx/NACK instants here, cwnd trace in
   /// the CC, reroutes in the LB) to one flight-recorder component.
@@ -278,6 +303,9 @@ class FlowSender final : public PacketSink, public EventHandler {
   /// an engine method, which must return without touching itself after.
   void complete();
 
+  // Packet counters are 32-bit, as the receiver's; the first packs into
+  // EventHandler's tail padding.
+  std::uint32_t packets_sent_ = 0;
   EventQueue& eq_;
   FlowParams params_;
   const PathSet* paths_;
@@ -292,10 +320,9 @@ class FlowSender final : public PacketSink, public EventHandler {
   Time fct_ = -1;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t acked_bytes_ = 0;
-  std::uint64_t packets_sent_ = 0;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t nacks_received_ = 0;
-  std::uint64_t fec_masked_ = 0;
+  std::uint32_t retransmits_ = 0;
+  std::uint32_t nacks_received_ = 0;
+  std::uint32_t fec_masked_ = 0;
   std::uint32_t reroutes_ = 0;  // final count, set at completion
   bool done_ = false;
   TraceContext trace_;
@@ -322,6 +349,7 @@ class Flow {
 
   void start() { sender_.start(); }
   FlowSender& sender() { return sender_; }
+  const FlowSender& sender() const { return sender_; }
   FlowReceiver& receiver() { return receiver_; }
 
   /// Both endpoints share one trace component ("flow:N").

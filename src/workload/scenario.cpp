@@ -152,14 +152,12 @@ void ScenarioHarness::deliver() {
   // Canonical delivery order: a pure function of simulation content, never
   // of shard interleaving (monolithic callbacks fire in time order, sharded
   // ones drain in shard order — both land here before the sort).
-  std::sort(parked_.begin(), parked_.end(), [](const FlowResult& a, const FlowResult& b) {
-    const Time fa = flow_finish_time(a), fb = flow_finish_time(b);
-    return fa != fb ? fa < fb : a.id < b.id;
-  });
-  std::vector<FlowResult> batch;
-  batch.swap(parked_);  // on_flow_complete spawns may complete... never
-                        // synchronously, but keep the buffer reentrant-safe
-  for (const FlowResult& r : batch) {
+  std::sort(parked_.begin(), parked_.end(), canonical_before);
+  // on_flow_complete spawns never complete synchronously, but keep the
+  // buffer reentrant-safe: deliver from a second one (both keep their
+  // capacity, so steady delivery allocates nothing).
+  delivering_.swap(parked_);
+  for (const FlowResult& r : delivering_) {
     std::uint64_t tag = 0;
     if (auto it = tags_.find(r.id); it != tags_.end()) {
       tag = it->second;
@@ -167,6 +165,7 @@ void ScenarioHarness::deliver() {
     }
     sc_.on_flow_complete(r, tag, *this);
   }
+  delivering_.clear();
 }
 
 void ScenarioHarness::begin() {
@@ -196,9 +195,6 @@ bool ScenarioHarness::run(Time deadline) {
         ex_.flows_spawned() == spawned_before)
       break;
   }
-  // Canonical result order in every mode (same contract as
-  // run_to_completion): recording order is a shard artifact.
-  ex_.fct().canonicalize();
   return sc_.done() && ex_.all_complete();
 }
 

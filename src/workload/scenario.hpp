@@ -53,12 +53,6 @@ struct ScenarioEnv {
 /// One "key=value" assignment for a scenario's scoped option table.
 using ScenarioOption = std::pair<std::string, std::string>;
 
-/// Absolute simulation time a flow finished (FlowResult::completion_time is
-/// the FCT *duration*) — the clock closed-loop scenarios react against.
-inline Time flow_finish_time(const FlowResult& r) {
-  return r.start_time + r.completion_time;
-}
-
 /// Split "key=value[,key=value...]" (the --scenario-opt grammar; values may
 /// contain '=' but not ','). Empty text yields an empty list.
 bool parse_scenario_opts(const std::string& text, std::vector<ScenarioOption>* out,
@@ -215,8 +209,9 @@ class ScenarioHarness {
   /// Run: begin(), then chunked stepping with canonical completion
   /// delivery at each sync point, until the scenario is done and every
   /// spawned flow completed (true), the scenario stalls (false), or
-  /// `deadline` passes (false). Canonicalizes the FCT record at the end, so
-  /// results and digests are shard-count independent.
+  /// `deadline` passes (false). Experiment::result() lists the completed
+  /// flows in canonical order, so results and digests are shard-count
+  /// independent.
   bool run(Time deadline);
 
  private:
@@ -229,6 +224,7 @@ class ScenarioHarness {
   Time cursor_ = 0;
   std::size_t spawn_count_ = 0;
   std::vector<FlowResult> parked_;          // completed, not yet delivered
+  std::vector<FlowResult> delivering_;      // the batch deliver() is walking
   std::unordered_map<std::uint64_t, std::uint64_t> tags_;  // flow id -> tag
 };
 

@@ -45,7 +45,7 @@ RunDigest digest_of(Experiment& ex) {
   RunDigest d;
   d.events = ex.events_dispatched();
   d.sim_end = ex.now();
-  for (const FlowResult& r : ex.fct().results()) {
+  for (const FlowResult& r : ex.result().flows) {
     d.fct_sum += static_cast<std::uint64_t>(r.completion_time);
     d.fct_hash = d.fct_hash * 1315423911ull + static_cast<std::uint64_t>(r.completion_time);
     d.packets += r.packets_sent;

@@ -2,8 +2,12 @@
 // experiment wiring (queue marking per scheme, flow parameter derivation).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+
 #include "core/bitmap.hpp"
 #include "core/experiment.hpp"
+#include "core/ring.hpp"
 #include "transport/bbr.hpp"
 #include "transport/swift.hpp"
 #include "transport/gemini.hpp"
@@ -120,17 +124,18 @@ TEST(Experiment, RunToCompletionCollectsFcts) {
   Experiment ex(cfg);
   int hook_calls = 0;
   ex.set_completion_hook([&](const FlowResult& r) {
-    // Runs after the collector recorded the result.
+    // Runs after the completion was counted, with the record's result.
     EXPECT_GT(r.completion_time, 0);
-    EXPECT_EQ(ex.fct().count(), static_cast<std::size_t>(++hook_calls));
+    EXPECT_EQ(ex.flows_completed(), static_cast<std::size_t>(++hook_calls));
+    EXPECT_EQ(r.completion_time, ex.sender(r.id - 1).fct());
   });
   ex.spawn({0, 12, 64 << 10, 0, false});
   ex.spawn({1, 13, 64 << 10, 0, false});
   ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
   EXPECT_EQ(hook_calls, 2);
-  EXPECT_EQ(ex.fct().count(), 2u);
-  const auto s = ex.fct().summarize();
-  EXPECT_GT(s.mean_slowdown, 0.9);
+  const ExperimentResult res = ex.result();
+  EXPECT_EQ(res.flows.size(), 2u);
+  EXPECT_GT(res.fct_all.mean_slowdown, 0.9);
 }
 
 TEST(Experiment, DeadlineReturnsFalseWhenUnfinished) {
@@ -219,6 +224,69 @@ TEST(Bitset64, CountRangeMatchesBruteForce) {
       EXPECT_EQ(b.count_range(pos, n), want) << pos << "+" << n;
     }
   }
+}
+
+/// Both rings against std::deque under the channel's access pattern: ordered
+/// inserts near the back, erases anywhere, pops, and drains to empty.
+template <typename Ring>
+void check_ring_against_deque(Ring& ring) {
+  std::deque<std::uint64_t> want;
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (int step = 0; step < 4000; ++step) {
+    x ^= x << 13, x ^= x >> 7, x ^= x << 17;
+    const std::size_t n = want.size();
+    switch (x % 8) {
+      case 0:
+      case 1:
+      case 2: {  // insert at most a few slots from the back
+        const std::size_t back = (x >> 8) % 4;
+        const std::size_t i = back < n ? n - back : n;
+        want.insert(want.begin() + static_cast<std::ptrdiff_t>(i), x);
+        ring.insert(i, x);
+        break;
+      }
+      case 3:
+        want.push_back(x);
+        ring.push_back(x);
+        break;
+      case 4:
+      case 5:
+        if (n > 0) {
+          want.pop_front();
+          ring.pop_front();
+        }
+        break;
+      case 6:
+        if (n > 0) {
+          const std::size_t i = (x >> 8) % n;
+          want.erase(want.begin() + static_cast<std::ptrdiff_t>(i));
+          ring.erase(i);
+        }
+        break;
+      default:
+        if ((x >> 8) % 64 == 0) {
+          want.clear();
+          ring.clear();
+        }
+    }
+    ASSERT_EQ(ring.size(), want.size()) << "step " << step;
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(ring[i], want[i]) << "step " << step << " index " << i;
+  }
+}
+
+TEST(Ring, PooledPodRingMatchesDeque) {
+  SlabPool pool;
+  {
+    PodRing<std::uint64_t> ring(&pool);
+    check_ring_against_deque(ring);
+  }
+  EXPECT_EQ(pool.live_bytes(), 0u);  // the ring gave its store back
+}
+
+TEST(Ring, NodeRingMatchesDeque) {
+  NodeRing<std::uint64_t, 8> ring;
+  check_ring_against_deque(ring);
 }
 
 }  // namespace

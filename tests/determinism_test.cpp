@@ -39,7 +39,7 @@ std::vector<Time> run_mixed_scenario(std::uint64_t seed) {
           std::make_unique<BurstLoss>(loss, Rng::stream(seed, 70 + d * 8 + j)));
   ex.run_to_completion(2 * kSecond);
   std::vector<Time> fcts;
-  for (const FlowResult& r : ex.fct().results()) fcts.push_back(r.completion_time);
+  for (const FlowResult& r : ex.result().flows) fcts.push_back(r.completion_time);
   return fcts;
 }
 
@@ -76,10 +76,12 @@ std::tuple<Time, std::uint32_t, std::uint64_t> run_verified_lossy(gf256::Kernel 
   FlowSpec spec{2, 16 + 9, 2 << 20, 0, true};
   FlowParams params = ex.flow_params(spec);
   params.id = 424242;
-  params.verify_payload = true;
-  params.payload_shard_bytes = 256;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
   SchemeStack stack(cfg.scheme, cfg.uno, cfg.seed);
+  TransportParams t = stack.transport();
+  t.verify_payload = true;
+  t.payload_shard_bytes = 256;
+  stack.set_transport(t);
   Flow flow(ex.eq(), ex.topo().host(spec.src), ex.topo().host(spec.dst), params, &paths,
             stack);
   flow.start();

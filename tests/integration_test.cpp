@@ -172,7 +172,7 @@ TEST(Integration, PermutationAllFlowsComplete) {
   auto specs = make_permutation(hosts_for(), 1 << 20, 3);
   ex.spawn_all(specs);
   ASSERT_TRUE(ex.run_to_completion(kSecond));
-  EXPECT_EQ(ex.fct().count(), 32u);
+  EXPECT_EQ(ex.result().flows.size(), 32u);
 }
 
 TEST(Integration, RealisticMiniWorkloadRuns) {
@@ -188,7 +188,7 @@ TEST(Integration, RealisticMiniWorkloadRuns) {
   ASSERT_FALSE(specs.empty());
   ex.spawn_all(specs);
   ASSERT_TRUE(ex.run_to_completion(kSecond));
-  const auto all = ex.fct().summarize();
+  const FctSummary all = ex.result().fct_all;
   EXPECT_EQ(all.count, specs.size());
   EXPECT_GT(all.mean_slowdown, 0.99);
 }

@@ -79,11 +79,11 @@ RunDigest run_sim(std::uint64_t seed) {
   d.events = ex.eq().dispatched();
   d.drops = ex.topo().total_drops();
   d.trims = ex.topo().total_trims();
-  const FctSummary s = ex.fct().summarize();
-  d.mean_us = s.mean_us;
-  d.p99_us = s.p99_us;
+  const ExperimentResult res = ex.result();
+  d.mean_us = res.fct_all.mean_us;
+  d.p99_us = res.fct_all.p99_us;
   d.end = ex.eq().now();
-  for (const FlowResult& r : ex.fct().results()) d.flow_fcts.push_back(r.completion_time);
+  for (const FlowResult& r : res.flows) d.flow_fcts.push_back(r.completion_time);
   return d;
 }
 

@@ -169,7 +169,7 @@ ExperimentConfig cfg_with_uno() {
 }
 
 /// Spawn an EC flow with payload verification enabled (bypasses Experiment's
-/// spawn because verify_payload is a per-flow knob).
+/// spawn: verify_payload is a knob of the flow's own stack).
 struct VerifiedFlow {
   std::unique_ptr<SchemeStack> stack;  // outlives the flow
   std::unique_ptr<Flow> flow;
@@ -180,11 +180,13 @@ struct VerifiedFlow {
 VerifiedFlow spawn_verified(Experiment& ex, const FlowSpec& spec) {
   FlowParams params = ex.flow_params(spec);
   params.id = 777000 + static_cast<std::uint64_t>(spec.src) * 1000 + spec.dst;
-  params.verify_payload = true;
-  params.payload_shard_bytes = 128;
   const PathSet& paths = ex.topo().paths(spec.src, spec.dst);
   const ExperimentConfig& cfg = ex.config();
   auto stack = std::make_unique<SchemeStack>(cfg.scheme, cfg.uno, cfg.seed);
+  TransportParams t = stack->transport();
+  t.verify_payload = true;
+  t.payload_shard_bytes = 128;
+  stack->set_transport(t);
   auto flow = std::make_unique<Flow>(ex.eq(), ex.topo().host(spec.src),
                                      ex.topo().host(spec.dst), params, &paths, *stack);
   flow->start();

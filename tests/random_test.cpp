@@ -86,7 +86,7 @@ TEST_P(RandomScenarioTest, InvariantsHold) {
   for (int h = 0; h < ex.topo().num_hosts(); ++h)
     EXPECT_EQ(ex.topo().host(h).stray_packets(), 0u);
   // Causality: no flow beats the speed-of-light + serialization bound.
-  for (const FlowResult& r : ex.fct().results()) {
+  for (const FlowResult& r : ex.result().flows) {
     const Time ideal = serialization_time(static_cast<std::int64_t>(r.size_bytes),
                                           100 * kGbps) / 2 +
                        (r.interdc ? cfg.uno.inter_rtt : cfg.uno.intra_rtt) / 2;

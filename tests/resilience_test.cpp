@@ -244,7 +244,7 @@ TEST(Recovery, TrimNackRecoversWithinOneRtt) {
   EXPECT_EQ(ex.topo().total_drops(), 0u);
   EXPECT_GT(ex.topo().total_trims(), 0u);
   const Time ideal = serialization_time(12 * (2 << 20), 100 * kGbps);
-  for (const FlowResult& r : ex.fct().results())
+  for (const FlowResult& r : ex.result().flows)
     EXPECT_LT(r.completion_time, 4 * ideal);
 }
 
@@ -265,7 +265,7 @@ TEST(Recovery, TailLossRecoveredByExpiryNotRto) {
   EXPECT_GT(f.retransmits(), 0u);
   // Expiry (3 * base_rtt = 6 ms) plus a round trip bounds recovery; the
   // silence RTO (8 ms) would push past 10 ms.
-  EXPECT_LT(f.fct(), p.effective_rto() + 4 * kMillisecond);
+  EXPECT_LT(f.fct(), ex.transport().effective_rto(p.base_rtt) + 4 * kMillisecond);
 }
 
 TEST(Recovery, RtoEscalatesOnTotalSilence) {
@@ -381,7 +381,7 @@ std::vector<FlowResult> run_faulted_scenario(std::uint64_t seed) {
   tracker.start();
   ex.run_to_completion(2 * kSecond);
   tracker.stop();
-  return ex.fct().results();
+  return ex.result().flows;
 }
 
 TEST(FaultPlanDeterminism, IdenticalSeedAndPlanBitExact) {

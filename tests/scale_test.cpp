@@ -9,7 +9,10 @@
 // heap zero times.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/build_info.hpp"
@@ -237,7 +240,7 @@ ModeDigest run_mode(PathMode mode) {
   ModeDigest d;
   d.events = ex.events_dispatched();
   d.sim_end = ex.now();
-  for (const FlowResult& r : ex.fct().results())
+  for (const FlowResult& r : ex.result().flows)
     d.fct_hash = d.fct_hash * 1315423911ull +
                  static_cast<std::uint64_t>(r.completion_time);
   return d;
@@ -313,7 +316,50 @@ TEST(SlabChurn, HundredThousandFlowsZeroSteadyStateAllocs) {
 
 // A flow record (both endpoints' halves) is what every spawned flow costs
 // for the whole run, live or not (DESIGN.md §15).
-static_assert(sizeof(Flow) <= 640, "the per-flow record grew past its budget");
+static_assert(sizeof(Flow) <= 352, "the per-flow record grew past its budget");
+
+/// The flow records are the run's only per-flow store: result() rebuilds the
+/// completed flows from them in canonical (finish, id) order — the results
+/// the completion hook saw, identical at every shard count and on every
+/// call.
+TEST(Shard, ResultFlowsComeFromRecords) {
+  std::vector<FlowResult> first;
+  for (int shards : {1, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ExperimentConfig cfg;
+    cfg.seed = 1;
+    cfg.fattree_k = 4;
+    cfg.shards = shards;
+    Experiment ex(cfg);
+    std::unique_ptr<Scenario> sc = ScenarioRegistry::instance().create("rpc_churn");
+    ASSERT_NE(sc, nullptr);
+    std::string err;
+    ASSERT_TRUE(sc->set_options({{"duration-ms", "0.3"}, {"load", "0.5"}, {"inter-frac", "0.3"}},
+                                &err))
+        << err;
+    ScenarioEnv env;
+    env.hosts = HostSpace{16, 2};
+    env.seed = cfg.seed;
+    ASSERT_TRUE(sc->init(env, &err)) << err;
+    {
+      ScenarioHarness harness(ex, *sc);
+      harness.begin();  // open-loop: every flow is spawned here
+    }                   // ...and the harness hands the hook back
+    std::vector<FlowResult> seen;
+    ex.set_completion_hook([&seen](const FlowResult& r) { seen.push_back(r); });
+    ASSERT_TRUE(ex.run_to_completion(20 * kSecond));
+    ASSERT_EQ(seen.size(), ex.flows_spawned());
+    std::sort(seen.begin(), seen.end(), canonical_before);
+
+    const ExperimentResult a = ex.result();
+    EXPECT_EQ(a.flows, seen);
+    EXPECT_EQ(ex.result().flows, a.flows);
+    if (first.empty())
+      first = a.flows;
+    else
+      EXPECT_EQ(a.flows, first) << "shard count changed the results";
+  }
+}
 
 /// Open-loop short-RPC churn: a flow's engines exist only while it is live,
 /// so after the run no engine (and no slab byte) is live, and the peak of

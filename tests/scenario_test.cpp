@@ -182,9 +182,10 @@ RunDigest run_scenario(const std::string& name,
   EXPECT_TRUE(harness.run(20 * kSecond)) << name << " did not complete";
 
   RunDigest d;
-  d.flows = ex.fct().results().size();
+  const ExperimentResult res = ex.result();
+  d.flows = res.flows.size();
   d.sim_end = ex.now();
-  for (const FlowResult& r : ex.fct().results()) {
+  for (const FlowResult& r : res.flows) {
     d.fct_sum += static_cast<std::uint64_t>(r.completion_time);
     d.fct_hash = d.fct_hash * 1315423911ull +
                  static_cast<std::uint64_t>(r.completion_time);

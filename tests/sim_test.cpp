@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
@@ -55,6 +56,39 @@ class Recorder : public EventHandler {
  private:
   EventQueue& eq_;
 };
+
+// A handler's queue binding is a raw back-pointer plus a slot: two of them
+// sit in every flow record (DESIGN.md §15).
+static_assert(sizeof(EventHandler) <= 24, "the handler binding grew");
+
+/// Either side of a binding may die first. A queue destroyed with an event
+/// still pending unbinds the handler, which can then bind to another queue;
+/// the ASan leg catches a handler touching the dead queue's registry.
+TEST(Sim, HandlerOutlivesQueue) {
+  struct Counter final : EventHandler {
+    int fired = 0;
+    void on_event(std::uint64_t) override { ++fired; }
+  };
+  Counter h;
+  {
+    EventQueue eq;
+    eq.schedule_at(10, &h);
+    eq.run_until(5);
+    EXPECT_EQ(eq.pending(), 1u);
+  }  // the queue dies first, its event still pending
+  EXPECT_EQ(h.fired, 0);
+  {
+    EventQueue eq;
+    eq.schedule_at(3, &h);
+    EXPECT_EQ(eq.run_all(), 1u);
+  }
+  EXPECT_EQ(h.fired, 1);
+  auto doomed = std::make_unique<Counter>();
+  EventQueue eq;
+  eq.schedule_at(1, doomed.get());
+  doomed.reset();  // the handler dies first: its wakeup goes stale
+  EXPECT_EQ(eq.run_all(), 0u);
+}
 
 TEST(EventQueue, FiresInTimeOrder) {
   EventQueue eq;

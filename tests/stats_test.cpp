@@ -37,24 +37,24 @@ FlowResult result(bool interdc, std::uint64_t size, Time fct) {
 }
 
 TEST(FctCollectorTest, SplitsByClass) {
-  FctCollector c;
-  c.add(result(false, 1000, 10 * kMicrosecond));
-  c.add(result(false, 1000, 20 * kMicrosecond));
-  c.add(result(true, 1000, 3 * kMillisecond));
-  EXPECT_EQ(c.summarize(FctCollector::Class::kAll).count, 3u);
-  const auto intra = c.summarize(FctCollector::Class::kIntra);
+  const FctCollector c;
+  const std::vector<FlowResult> rs = {result(false, 1000, 10 * kMicrosecond),
+                                      result(false, 1000, 20 * kMicrosecond),
+                                      result(true, 1000, 3 * kMillisecond)};
+  EXPECT_EQ(c.summarize(rs, FctCollector::Class::kAll).count, 3u);
+  const auto intra = c.summarize(rs, FctCollector::Class::kIntra);
   EXPECT_EQ(intra.count, 2u);
   EXPECT_DOUBLE_EQ(intra.mean_us, 15.0);
-  const auto inter = c.summarize(FctCollector::Class::kInter);
+  const auto inter = c.summarize(rs, FctCollector::Class::kInter);
   EXPECT_EQ(inter.count, 1u);
   EXPECT_DOUBLE_EQ(inter.mean_us, 3000.0);
 }
 
 TEST(FctCollectorTest, SlowdownUsesIdealModel) {
-  FctCollector c(FctCollector::pipe_ideal(100 * kGbps, 14 * kMicrosecond, 2 * kMillisecond));
+  const FctCollector c(
+      FctCollector::pipe_ideal(100 * kGbps, 14 * kMicrosecond, 2 * kMillisecond));
   // Intra flow, 125000 B -> serialization 10 us + 14 us = 24 us ideal.
-  c.add(result(false, 125'000, 48 * kMicrosecond));
-  const auto s = c.summarize();
+  const auto s = c.summarize({result(false, 125'000, 48 * kMicrosecond)});
   EXPECT_NEAR(s.mean_slowdown, 2.0, 0.01);
 }
 
@@ -104,7 +104,7 @@ void expect_bit_equal(const FctSummary& got, const FctSummary& want, const char*
 TEST(FctCollectorTest, ClassSummariesMatchNaiveFormula) {
   const FctCollector::IdealFn ideal =
       FctCollector::pipe_ideal(100 * kGbps, 14 * kMicrosecond, 2 * kMillisecond);
-  FctCollector c(ideal);
+  const FctCollector c(ideal);
   std::vector<FlowResult> rs;
   std::uint64_t x = 88172645463325252ull;  // xorshift64: unsorted, with ties
   for (int i = 0; i < 997; ++i) {
@@ -114,15 +114,14 @@ TEST(FctCollectorTest, ClassSummariesMatchNaiveFormula) {
     const Time fct = (inter ? 2 * kMillisecond : 5 * kMicrosecond) +
                      static_cast<Time>((x >> 8) % 4096) * 97 * kNanosecond;
     rs.push_back(result(inter, size, fct));
-    c.add(rs.back());
   }
-  const FctCollector::Classes got = c.summarize_classes();
+  const FctCollector::Classes got = c.summarize_classes(rs);
   expect_bit_equal(got.all, naive_summary(rs, ideal, 0), "all");
   expect_bit_equal(got.intra, naive_summary(rs, ideal, 1), "intra");
   expect_bit_equal(got.inter, naive_summary(rs, ideal, 2), "inter");
-  expect_bit_equal(c.summarize(FctCollector::Class::kAll), got.all, "summarize(all)");
-  expect_bit_equal(c.summarize(FctCollector::Class::kIntra), got.intra, "summarize(intra)");
-  expect_bit_equal(c.summarize(FctCollector::Class::kInter), got.inter, "summarize(inter)");
+  expect_bit_equal(c.summarize(rs, FctCollector::Class::kAll), got.all, "summarize(all)");
+  expect_bit_equal(c.summarize(rs, FctCollector::Class::kIntra), got.intra, "summarize(intra)");
+  expect_bit_equal(c.summarize(rs, FctCollector::Class::kInter), got.inter, "summarize(inter)");
 }
 
 TEST(JainIndex, PerfectAndSkewed) {

@@ -180,7 +180,7 @@ TEST(Transport, ManyParallelFlowsAllComplete) {
   for (int i = 0; i < 8; ++i) ex.spawn({i, 8 + i, 128 << 10, 0, false});
   ASSERT_TRUE(ex.run_to_completion(100 * kMillisecond));
   EXPECT_EQ(ex.flows_completed(), 8u);
-  EXPECT_EQ(ex.fct().count(), 8u);
+  EXPECT_EQ(ex.result().flows.size(), 8u);
 }
 
 // --- DeadlineRing (transport/deadline_ring.hpp) ------------------------------

@@ -245,12 +245,12 @@ std::unique_ptr<Scenario> make_scenario(const OptionSet& opts, const RunParams& 
 
 /// One line that is bit-identical across --shards and --jobs for a
 /// deterministic run: flow count, event count, end time, and an
-/// order-sensitive hash over the canonicalized FCT records. CI's
+/// order-sensitive hash over the canonically ordered FCT records. CI's
 /// workload-smoke job diffs this line between shard counts.
-std::string run_digest(Experiment& ex) {
+std::string run_digest(const ExperimentResult& res) {
   std::uint64_t fct_sum = 0;
   std::uint64_t hash = 1469598103934665603ull;
-  for (const FlowResult& r : ex.fct().results()) {
+  for (const FlowResult& r : res.flows) {
     // completion_time is the FCT duration (see transport/flow.hpp).
     fct_sum += static_cast<std::uint64_t>(r.completion_time);
     hash = (hash ^ r.id) * 1315423911ull;
@@ -260,9 +260,9 @@ std::string run_digest(Experiment& ex) {
   std::snprintf(buf, sizeof(buf),
                 "digest: flows=%zu events=%llu sim_end=%llu fct_sum=%llu "
                 "fct_hash=%016llx",
-                ex.fct().results().size(),
-                static_cast<unsigned long long>(ex.events_dispatched()),
-                static_cast<unsigned long long>(ex.now()),
+                res.flows.size(),
+                static_cast<unsigned long long>(res.events_dispatched),
+                static_cast<unsigned long long>(res.sim_time),
                 static_cast<unsigned long long>(fct_sum),
                 static_cast<unsigned long long>(hash));
   return buf;
@@ -281,11 +281,13 @@ void apply_loss_scale(Experiment& ex, std::uint64_t seed, double loss_scale) {
             std::make_unique<BurstLoss>(p, Rng::stream(seed, stream++)));
 }
 
-/// Trace + metrics export for one finished experiment; file paths already
-/// resolved (batch runs pass indexed names). Scenario-level metrics merge
-/// into the same JSON under the scenario's own "scenario.*" keys.
-bool export_obs(Experiment& ex, const Scenario* sc, const std::string& trace_file,
-                const std::string& metrics_file, std::string* err) {
+/// Trace + metrics export for one finished experiment and its result; file
+/// paths already resolved (batch runs pass indexed names). Scenario-level
+/// metrics merge into the same JSON under the scenario's own "scenario.*"
+/// keys.
+bool export_obs(Experiment& ex, const ExperimentResult& res, const Scenario* sc,
+                const std::string& trace_file, const std::string& metrics_file,
+                std::string* err) {
   if (!trace_file.empty()) {
     if (ex.tracer() == nullptr || !ex.tracer()->write_chrome_trace(trace_file)) {
       *err = "cannot write trace file: " + trace_file;
@@ -293,8 +295,7 @@ bool export_obs(Experiment& ex, const Scenario* sc, const std::string& trace_fil
     }
   }
   if (!metrics_file.empty()) {
-    MetricRegistry m;
-    ex.snapshot_metrics(m);
+    MetricRegistry m = res.metrics;
     if (sc != nullptr) sc->report(m);
     if (!m.write_json(metrics_file)) {
       *err = "cannot write metrics file: " + metrics_file;
@@ -333,18 +334,19 @@ RunRow run_one(const OptionSet& opts, const RunParams& rp, const FaultPlan& faul
   row.done = harness.run(deadline);
   row.spawned = ex.flows_spawned();
   row.completed = ex.flows_completed();
-  row.all = ex.fct().summarize();
-  row.intra = ex.fct().summarize(FctCollector::Class::kIntra);
-  row.inter = ex.fct().summarize(FctCollector::Class::kInter);
-  row.drops = ex.topo().total_drops();
-  row.trims = ex.topo().total_trims();
-  row.sim_ms = to_milliseconds(ex.now());
-  if (opts.flag("digest")) row.digest = run_digest(ex);
+  const ExperimentResult res = ex.result();
+  row.all = res.fct_all;
+  row.intra = res.fct_intra;
+  row.inter = res.fct_inter;
+  row.drops = res.fabric_drops;
+  row.trims = res.fabric_trims;
+  row.sim_ms = to_milliseconds(res.sim_time);
+  if (opts.flag("digest")) row.digest = run_digest(res);
   const std::string trace_file =
       obs.trace_file.empty() ? std::string{} : indexed_path(obs.trace_file, index);
   const std::string metrics_file =
       obs.metrics_file.empty() ? std::string{} : indexed_path(obs.metrics_file, index);
-  export_obs(ex, sc.get(), trace_file, metrics_file, &row.error);
+  export_obs(ex, res, sc.get(), trace_file, metrics_file, &row.error);
   return row;
 }
 
@@ -605,11 +607,10 @@ int main(int argc, char** argv) {
   const bool done = harness.run(deadline);
   if (tracker) tracker->stop();
 
+  const ExperimentResult res = ex.result();
   Table t({"class", "count", "mean us", "p50 us", "p99 us", "max us", "mean slowdown"});
-  for (auto [name, cls] :
-       {std::pair{"all", FctCollector::Class::kAll}, {"intra", FctCollector::Class::kIntra},
-        {"inter", FctCollector::Class::kInter}}) {
-    const FctSummary s = ex.fct().summarize(cls);
+  for (auto [name, s] : {std::pair{"all", res.fct_all}, {"intra", res.fct_intra},
+                         {"inter", res.fct_inter}}) {
     t.add_row({name, std::to_string(s.count), Table::fmt(s.mean_us, 1),
                Table::fmt(s.p50_us, 1), Table::fmt(s.p99_us, 1), Table::fmt(s.max_us, 1),
                Table::fmt(s.mean_slowdown, 2)});
@@ -620,7 +621,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ex.topo().total_drops()),
               static_cast<unsigned long long>(ex.topo().total_trims()),
               to_milliseconds(ex.now()));
-  if (opts.flag("digest")) std::printf("%s\n", run_digest(ex).c_str());
+  if (opts.flag("digest")) std::printf("%s\n", run_digest(res).c_str());
 
   if (tracker) {
     const ResilienceSummary rs = tracker->summarize();
@@ -636,7 +637,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(rs.fec_masked));
   }
 
-  if (!export_obs(ex, sc.get(), obs.trace_file, obs.metrics_file, &err)) {
+  if (!export_obs(ex, res, sc.get(), obs.trace_file, obs.metrics_file, &err)) {
     std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }
