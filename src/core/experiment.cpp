@@ -138,13 +138,15 @@ Experiment::Experiment(const ExperimentConfig& cfg) : cfg_(cfg), stack_(*this) {
   // DC d lives on shard d * nshards / num_dcs (contiguous blocks; the
   // identity map in the common shards == num_dcs case).
   const int ndcs = std::max(1, cfg_.uno.num_dcs);
-  std::vector<EventQueue*> atom_map;
-  if (nshards == 1) {
-    atom_map.push_back(eqs_[0].get());
-  } else {
-    for (int d = 0; d < ndcs; ++d) atom_map.push_back(eqs_[d * nshards / ndcs].get());
+  for (int s = 0; s < nshards; ++s) {
+    pools_.push_back(std::make_unique<SlabPool>());
+    packet_pools_.push_back(std::make_unique<SlabPool>());
   }
-  for (int s = 0; s < nshards; ++s) pools_.push_back(std::make_unique<SlabPool>());
+  std::vector<TopoAtom> atom_map;
+  for (int d = 0; d < (nshards == 1 ? 1 : ndcs); ++d) {
+    const int s = d * nshards / ndcs;
+    atom_map.push_back({eqs_[s].get(), packet_pools_[s].get()});
+  }
   topo_ = std::make_unique<InterDcTopology>(
       atom_map,
       make_topo_config(cfg_.uno, cfg_.scheme, cfg_.fattree_k, cfg_.seed, cfg_.paths));
@@ -177,7 +179,7 @@ Experiment::Experiment(const ExperimentConfig& cfg) : cfg_(cfg), stack_(*this) {
     // Source-side ports only ever carry packets sourced in their own DC
     // (routes climb in the source DC), so delivery never crosses the seam.
     for (int d = 0; d < topo_->num_dcs(); ++d) {
-      qcn_.push_back(std::make_unique<QcnDispatcher>(*atom_map[nshards == 1 ? 0 : d],
+      qcn_.push_back(std::make_unique<QcnDispatcher>(*atom_map[nshards == 1 ? 0 : d].eq,
                                                      *topo_, cfg_.uno.qcn_feedback_delay));
       QcnDispatcher* qd = qcn_.back().get();
       for (Queue* q : topo_->source_side_queues(d))
@@ -427,6 +429,24 @@ void Experiment::snapshot_metrics(MetricRegistry& m, const std::vector<FlowResul
   m.set_counter("mem.flow.slab_live_bytes", sp_live);
   m.set_counter("mem.flow.slab_peak_bytes", sp_peak);
   m.set_counter("mem.flow.slab_pooled_bytes", sp_pooled);
+
+  // Fabric packets (net/packet.hpp park_packet): every packet waiting in a
+  // queue lane or propagating on a link holds one block of its shard's packet
+  // pool. The pool carves nothing else, so live bytes over the block size is
+  // the live packet count; peak sums the per-shard peaks (exact monolithic).
+  const std::size_t block = SlabPool::block_size(sizeof(Packet));
+  std::size_t pk_live = 0, pk_peak = 0, pk_bytes = 0;
+  std::uint64_t pk_heap = 0;
+  for (const auto& pool : packet_pools_) {
+    pk_live += pool->live_bytes() / block;
+    pk_peak += pool->peak_live_bytes() / block;
+    pk_bytes += pool->live_bytes() + pool->pooled_bytes();
+    pk_heap += pool->heap_allocs();
+  }
+  m.set_counter("mem.packets.live", pk_live);
+  m.set_counter("mem.packets.peak", pk_peak);
+  m.set_counter("mem.packets.pool_bytes", pk_bytes);
+  m.set_counter("mem.packets.heap_allocs", pk_heap);
 
   std::uint64_t forwarded = 0, ecn_marked = 0;
   for (const Queue* q : topo_->all_queues()) {

@@ -229,6 +229,11 @@ class Experiment {
   /// there); between windows only the main thread does (a spawn whose start
   /// time has come builds its engine at once).
   std::vector<std::unique_ptr<SlabPool>> pools_;
+  /// One pool per shard for the packets waiting in its ports' queue lanes
+  /// and link rings, confined the same way; kept apart from pools_ so the
+  /// mem.flow.* counters keep meaning flow state. Declared before topo_,
+  /// whose ports return their blocks on destruction.
+  std::vector<std::unique_ptr<SlabPool>> packet_pools_;
   std::unique_ptr<InterDcTopology> topo_;
   std::unique_ptr<ShardRunner> runner_;  // null when monolithic
   FctCollector fct_;

@@ -165,15 +165,18 @@ class PodRing {
 /// queues whose occupancy swings widely — a WAN channel holds a BDP of
 /// packets at its peak and little otherwise. A PodRing would keep its
 /// power-of-two peak for good; here memory follows occupancy a node at a
-/// time, and up to kSpares drained nodes are kept for the next pushes, so
-/// steady traffic allocates nothing (std::deque frees and reallocates a
-/// node every few entries). Supports the same positional insert/erase.
+/// time, and up to a spare limit of drained nodes (kDefaultSpares unless
+/// set) are kept for the next pushes, so steady traffic allocates nothing
+/// (std::deque frees and reallocates a node every few entries). Supports
+/// the same positional insert/erase.
 template <typename T, std::size_t kNode = 32>
 class NodeRing {
   static_assert(std::is_trivially_copyable_v<T>,
                 "NodeRing skips initialization and destruction of slots");
 
  public:
+  static constexpr std::size_t kDefaultSpares = 4;
+
   NodeRing() = default;
   ~NodeRing() {
     clear();
@@ -184,6 +187,12 @@ class NodeRing {
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
+  /// Nodes holding elements right now.
+  std::size_t nodes() const { return map_.size(); }
+
+  /// Keep up to `n` drained nodes for reuse from now on (spares already kept
+  /// stay until a push takes them).
+  void set_spare_limit(std::size_t n) { spare_limit_ = n; }
 
   T& front() { return (*this)[0]; }
   T& operator[](std::size_t i) {
@@ -243,19 +252,18 @@ class NodeRing {
     }
     return static_cast<T*>(::operator new(kNode * sizeof(T)));
   }
-  /// A node a pop emptied: kept while fewer than kSpares are, else freed,
-  /// so a FIFO that drains gives its memory back.
+  /// A node a pop emptied: kept while fewer than spare_limit_ are, else
+  /// freed, so a FIFO that drains gives its memory back.
   void drop_node(T* n) {
-    if (spare_.size() < kSpares)
+    if (spare_.size() < spare_limit_)
       spare_.push_back(n);
     else
       ::operator delete(n);
   }
 
-  static constexpr std::size_t kSpares = 4;
-
   PodRing<T*> map_;    // the nodes, front to back
   PodRing<T*> spare_;  // drained nodes, kept for reuse
+  std::size_t spare_limit_ = kDefaultSpares;
   std::size_t head_ = 0;  // front element's index in map_.front()
   std::size_t size_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "net/channel.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace uno {
@@ -58,6 +59,11 @@ std::size_t ChannelLink::flush_staged() {
   staging_.clear();
   schedule_front();
   pending_at_flush_ = pending_.size();
+  // Split: the destination drains pending_ during the window and the next
+  // flush refills it, so keep as many drained nodes as it fills now rather
+  // than free them on one thread and allocate them again on another every
+  // window. They were resident at this barrier anyway.
+  if (split_) pending_.set_spare_limit(std::max(pending_.kDefaultSpares, pending_.nodes()));
   note_occupancy();
   return n;
 }

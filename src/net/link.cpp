@@ -2,13 +2,16 @@
 
 namespace uno {
 
-void Link::receive(Packet&& p) {
+void Link::receive(Packet&& p) { receive_parked(park_packet(packets_, std::move(p)), packets_); }
+
+void Link::receive_parked(Packet* p, SlabPool* pool) {
   if (!up_ || (loss_ && loss_->should_drop(eq_.now()))) {
     ++dropped_;
+    release_packet(pool, p);
     return;  // the transport's RTO / EC layer recovers the loss
   }
   const Time exit = eq_.now() + latency_;
-  inflight_.emplace_back(exit, std::move(p));
+  inflight_.emplace_back(exit, adopt_packet(p, pool, packets_));
   if (inflight_.size() == 1) eq_.schedule_at(exit, this);
 }
 
@@ -18,9 +21,14 @@ void Link::set_up(bool up) {
     // already-scheduled delivery events turn into stale no-ops (see the
     // guards in on_event).
     dropped_ += inflight_.size();
-    inflight_.clear();
+    flush();
   }
   up_ = up;
+}
+
+void Link::flush() {
+  for (std::size_t i = 0; i < inflight_.size(); ++i) release_packet(packets_, inflight_[i].p);
+  inflight_.clear();
 }
 
 void Link::on_event(std::uint64_t) {
@@ -38,17 +46,19 @@ void Link::on_event(std::uint64_t) {
   const Time now = eq_.now();
   for (;;) {
     ++delivered_;
-    // On long-latency links the ring spans a full BDP, so the head slot was
-    // written one `latency_` ago and is cold; start pulling the *next* head
-    // in while this delivery's forward chain executes (both cache lines — a
-    // 96-byte InFlight straddles two). Forward straight out of the ring
-    // slot (one move, not two); the slot stays until the pop below, which
-    // also means a synchronous push during forward() sees size >= 2 and
-    // never double-schedules the delivery event.
-    const char* next_slot = reinterpret_cast<const char*>(&inflight_[1]);
-    __builtin_prefetch(next_slot);
-    __builtin_prefetch(next_slot + 64);
-    forward(std::move(inflight_.front().p));
+    // On long-latency links the ring spans a full BDP, so the next packet's
+    // block was written one `latency_` ago and is cold; start pulling it in
+    // (both cache lines — an 88-byte packet can straddle two) while this
+    // delivery's forward chain executes. The block passes to the next hop;
+    // the ring entry stays until the pop below, so a synchronous push during
+    // the forward sees size >= 2 and never double-schedules the delivery
+    // event.
+    if (inflight_.size() > 1) {
+      const char* next = reinterpret_cast<const char*>(inflight_[1].p);
+      __builtin_prefetch(next);
+      __builtin_prefetch(next + 64);
+    }
+    forward_parked(inflight_.front().p, packets_);
     inflight_.pop_front();
     if (inflight_.empty()) return;
     if (inflight_.front().due != now) break;

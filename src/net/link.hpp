@@ -19,10 +19,16 @@ namespace uno {
 
 class Link final : public PacketSink, public EventHandler {
  public:
-  Link(EventQueue& eq, std::string name, Time latency)
-      : eq_(eq), name_(std::move(name)), latency_(latency) {}
+  /// In-flight packets are parked in blocks of `packets` (the heap when
+  /// null); the pool must outlive the link.
+  Link(EventQueue& eq, std::string name, Time latency, SlabPool* packets = nullptr)
+      : eq_(eq), name_(std::move(name)), latency_(latency), packets_(packets) {}
+  ~Link() override { flush(); }
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   void receive(Packet&& p) override;
+  void receive_parked(Packet* p, SlabPool* pool) override;
   void on_event(std::uint64_t tag) override;
 
   const std::string& name() const override { return name_; }
@@ -46,6 +52,8 @@ class Link final : public PacketSink, public EventHandler {
   }
   const LossModel* loss_model() const { return loss_.get(); }
 
+  /// Packets propagating right now.
+  std::size_t in_flight() const { return inflight_.size(); }
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t dropped() const { return dropped_; }
   /// Deliveries that rode along in another packet's event because they
@@ -53,14 +61,18 @@ class Link final : public PacketSink, public EventHandler {
   std::uint64_t coalesced_deliveries() const { return coalesced_; }
 
  private:
+  /// Release every in-flight packet's block and empty the ring.
+  void flush();
+
   EventQueue& eq_;
   std::string name_;
   Time latency_;
   bool up_ = true;
   std::unique_ptr<LossModel> loss_;
+  SlabPool* packets_;
   struct InFlight {
     Time due = 0;
-    Packet p;
+    Packet* p = nullptr;
   };
   PodRing<InFlight> inflight_;
   std::uint64_t delivered_ = 0;

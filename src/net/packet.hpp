@@ -11,6 +11,7 @@
 #include <initializer_list>
 #include <string>
 
+#include "core/slab.hpp"
 #include "sim/time.hpp"
 
 namespace uno {
@@ -22,6 +23,11 @@ class PacketSink {
  public:
   virtual ~PacketSink() = default;
   virtual void receive(Packet&& p) = 0;
+  /// Take a packet parked in a block of `pool` (park_packet below), with the
+  /// block. The default copies it out to receive() and releases the block;
+  /// queues and links keep the block, so a packet crosses the fabric in one
+  /// block and each hop passes a pointer.
+  virtual void receive_parked(Packet* p, SlabPool* pool);
   /// Human-readable name for traces and assertions.
   virtual const std::string& name() const = 0;
 };
@@ -216,6 +222,40 @@ inline void forward(Packet&& p) {
   PacketSink* next = p.route->hops[p.hop];
   ++p.hop;
   next->receive(std::move(p));
+}
+
+/// A packet in the fabric (waiting in a queue lane or propagating on a
+/// link) lives in a block of its shard's packet pool, and ports hold only
+/// the pointer: the fabric pays for the packets that exist, not for every
+/// port's peak (DESIGN.md §9). Ports built without a pool park on the heap.
+inline Packet* park_packet(SlabPool* pool, Packet&& p) {
+  return ::new (slab_acquire(pool, sizeof(Packet))) Packet(std::move(p));
+}
+/// Return a parked packet's block.
+static_assert(std::is_trivially_destructible_v<Packet>, "a released block is never destroyed");
+inline void release_packet(SlabPool* pool, Packet* p) {
+  slab_release(pool, p, sizeof(Packet));
+}
+
+/// `p`, parked in `from`, as a block of `to`: the same block when the pools
+/// match (ports of one shard), else a copy, with p's block released.
+inline Packet* adopt_packet(Packet* p, SlabPool* from, SlabPool* to) {
+  if (from == to) return p;
+  Packet* own = park_packet(to, std::move(*p));
+  release_packet(from, p);
+  return own;
+}
+
+inline void PacketSink::receive_parked(Packet* p, SlabPool* pool) {
+  receive(std::move(*p));
+  release_packet(pool, p);
+}
+
+/// Hand a parked packet, block and all, to its next hop.
+inline void forward_parked(Packet* p, SlabPool* pool) {
+  PacketSink* next = p->route->hops[p->hop];
+  ++p->hop;
+  next->receive_parked(p, pool);
 }
 
 /// Build a data packet skeleton (sender fills CC/EC fields).

@@ -15,13 +15,19 @@ double red_probability(const RedConfig& red, std::int64_t occ) {
 }
 }  // namespace
 
-Queue::Queue(EventQueue& eq, std::string name, const QueueConfig& cfg, Rng rng)
-    : eq_(eq), name_(std::move(name)), cfg_(cfg), rng_(std::move(rng)) {
+Queue::Queue(EventQueue& eq, std::string name, const QueueConfig& cfg, Rng rng,
+             SlabPool* packets)
+    : eq_(eq), name_(std::move(name)), cfg_(cfg), rng_(std::move(rng)), packets_(packets) {
   assert(cfg_.rate > 0);
   assert(cfg_.capacity_bytes > 0);
   phantom_rate_ = static_cast<Bandwidth>(static_cast<double>(cfg_.rate) *
                                          cfg_.phantom.drain_fraction);
   if ((8 * kSecond) % cfg_.rate == 0) ser_ps_per_byte_ = (8 * kSecond) / cfg_.rate;
+}
+
+Queue::~Queue() {
+  for (PodRing<Packet*>* lane : {&q_, &ctrl_q_})
+    for (std::size_t i = 0; i < lane->size(); ++i) release_packet(packets_, (*lane)[i]);
 }
 
 std::int64_t Queue::phantom_occupancy(Time now) const {
@@ -51,7 +57,11 @@ bool Queue::should_mark(std::int64_t occupancy_after, Time now, bool* phantom_so
   return p > 0.0 && rng_.chance(p);
 }
 
-void Queue::receive(Packet&& p) {
+void Queue::receive(Packet&& p) { receive_parked(park_packet(packets_, std::move(p)), packets_); }
+
+void Queue::receive_parked(Packet* block, SlabPool* pool) {
+  block = adopt_packet(block, pool, packets_);
+  Packet& p = *block;
   const Time now = eq_.now();
   const bool is_data = p.type == PacketType::kData && !p.trimmed;
 
@@ -62,10 +72,11 @@ void Queue::receive(Packet&& p) {
       ++drops_;
       UNO_TRACE_EVENT(trace_, TraceKind::kQueueDrop, now, p.flow_id, p.seq);
       if (drop_hook_) drop_hook_(p);
+      release_packet(packets_, block);
       return;
     }
     ctrl_occupancy_ += p.size;
-    ctrl_q_.push_back(std::move(p));
+    ctrl_q_.push_back(block);
     if (!busy_) start_service();
     return;
   }
@@ -80,13 +91,14 @@ void Queue::receive(Packet&& p) {
       ++trims_;
       UNO_TRACE_EVENT(trace_, TraceKind::kQueueTrim, now, p.flow_id, p.seq);
       ctrl_occupancy_ += p.size;
-      ctrl_q_.push_back(std::move(p));
+      ctrl_q_.push_back(block);
       if (!busy_) start_service();
       return;
     }
     ++drops_;
     UNO_TRACE_EVENT(trace_, TraceKind::kQueueDrop, now, p.flow_id, p.seq);
     if (drop_hook_) drop_hook_(p);
+    release_packet(packets_, block);
     return;
   }
   // The phantom counter tracks *arrivals* at the port, including packets
@@ -123,7 +135,7 @@ void Queue::receive(Packet&& p) {
                     cfg_.phantom.enabled ? phantom_bytes_ : 0);
   }
 #endif
-  q_.push_back(std::move(p));
+  q_.push_back(block);
   if (!busy_) start_service();
 }
 
@@ -131,7 +143,7 @@ void Queue::start_service() {
   assert(!q_.empty() || !ctrl_q_.empty());
   busy_ = true;
   serving_ctrl_ = !ctrl_q_.empty();
-  const Packet& head = serving_ctrl_ ? ctrl_q_.front() : q_.front();
+  const Packet& head = *(serving_ctrl_ ? ctrl_q_.front() : q_.front());
   const Time st = ser_ps_per_byte_ ? head.size * ser_ps_per_byte_
                                    : serialization_time(head.size, cfg_.rate);
   eq_.schedule_in(st, this);
@@ -142,23 +154,21 @@ void Queue::on_event(std::uint64_t) {
   // Dequeue from the lane whose head we committed to serializing; a control
   // packet arriving *during* a data packet's serialization does not preempt
   // it, it just goes first on the next service round. The head is forwarded
-  // straight out of its ring slot (one move, not two); busy_ stays set until
+  // in its pooled block, which passes to the next hop; busy_ stays set until
   // after the pop so a synchronous re-entrant receive() cannot start service
   // while the stale head still occupies the lane.
-  PodRing<Packet>& lane = serving_ctrl_ ? ctrl_q_ : q_;
-  Packet& head = lane.front();
-  (serving_ctrl_ ? ctrl_occupancy_ : occupancy_) -= head.size;
+  PodRing<Packet*>& lane = serving_ctrl_ ? ctrl_q_ : q_;
+  Packet* head = lane.front();
+  (serving_ctrl_ ? ctrl_occupancy_ : occupancy_) -= head->size;
   ++forwarded_;
-  bytes_forwarded_ += head.size;
-  // pop_front only bumps the ring's head index, so `head` stays valid (and
-  // untouched — nothing pushes into the lane before forward() below) while
-  // start_service() sees the *next* packet as the new front. Keeping
+  bytes_forwarded_ += head->size;
+  // start_service() must see the *next* packet as the new front. Keeping
   // forward() last preserves the event-seq assignment order of the original
   // two-move implementation, so same-timestamp ties dispatch identically.
   lane.pop_front();
   busy_ = false;
   if (!q_.empty() || !ctrl_q_.empty()) start_service();
-  forward(std::move(head));
+  forward_parked(head, packets_);
 }
 
 }  // namespace uno

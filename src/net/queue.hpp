@@ -72,14 +72,23 @@ struct QueueConfig {
 
 class Queue final : public PacketSink, public EventHandler {
  public:
-  Queue(EventQueue& eq, std::string name, const QueueConfig& cfg, Rng rng = Rng(7));
+  /// Queued packets are parked in blocks of `packets` (the heap when null);
+  /// the pool must outlive the queue.
+  Queue(EventQueue& eq, std::string name, const QueueConfig& cfg, Rng rng = Rng(7),
+        SlabPool* packets = nullptr);
+  ~Queue() override;
+  Queue(const Queue&) = delete;
+  Queue& operator=(const Queue&) = delete;
 
   void receive(Packet&& p) override;
+  void receive_parked(Packet* p, SlabPool* pool) override;
   void on_event(std::uint64_t tag) override;
 
   const std::string& name() const override { return name_; }
 
   std::int64_t occupancy() const { return occupancy_; }
+  /// Packets waiting in both lanes (the one in service included).
+  std::size_t queued() const { return q_.size() + ctrl_q_.size(); }
   std::int64_t control_occupancy() const { return ctrl_occupancy_; }
   std::int64_t capacity() const { return cfg_.capacity_bytes; }
   Bandwidth rate() const { return cfg_.rate; }
@@ -133,8 +142,9 @@ class Queue final : public PacketSink, public EventHandler {
   /// division per served packet on the hot path.
   Time ser_ps_per_byte_ = 0;
 
-  PodRing<Packet> q_;       // data packets
-  PodRing<Packet> ctrl_q_;  // control + trimmed headers (strict priority)
+  SlabPool* packets_;
+  PodRing<Packet*> q_;       // data packets
+  PodRing<Packet*> ctrl_q_;  // control + trimmed headers (strict priority)
   std::int64_t occupancy_ = 0;       // data bytes queued
   std::int64_t ctrl_occupancy_ = 0;  // control bytes queued
   bool busy_ = false;

@@ -7,13 +7,13 @@ namespace uno {
 Pipe FatTreeDC::make_pipe(const std::string& name, Time latency, const QueueConfig& qcfg) {
   Pipe p;
   p.queue = std::make_unique<Queue>(eq_, name + ".q", qcfg,
-                                    Rng::stream(0x51EEDULL + dc_id_, pipe_seq_++));
-  p.link = std::make_unique<Link>(eq_, name + ".l", latency);
+                                    Rng::stream(0x51EEDULL + dc_id_, pipe_seq_++), packets_);
+  p.link = std::make_unique<Link>(eq_, name + ".l", latency, packets_);
   return p;
 }
 
-FatTreeDC::FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg)
-    : eq_(eq), dc_id_(dc_id), cfg_(cfg) {
+FatTreeDC::FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg, SlabPool* packets)
+    : eq_(eq), packets_(packets), dc_id_(dc_id), cfg_(cfg) {
   assert(cfg_.k % 2 == 0 && cfg_.k >= 2);
   const int r = radix();
   const int nh = num_hosts();

@@ -47,7 +47,8 @@ struct FatTreeConfig {
 /// path assembly lives in InterDcTopology.
 class FatTreeDC {
  public:
-  FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg);
+  /// Every port parks its packets in `packets` (the heap when null).
+  FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg, SlabPool* packets = nullptr);
 
   int k() const { return cfg_.k; }
   int radix() const { return cfg_.k / 2; }
@@ -100,6 +101,7 @@ class FatTreeDC {
   Pipe make_pipe(const std::string& name, Time latency, const QueueConfig& qcfg);
 
   EventQueue& eq_;
+  SlabPool* packets_;
   int dc_id_;
   FatTreeConfig cfg_;
   std::uint64_t pipe_seq_ = 0;  // per-pipe RNG stream for RED sampling

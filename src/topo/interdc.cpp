@@ -4,12 +4,12 @@
 
 namespace uno {
 
-Pipe InterDcTopology::make_border_pipe(EventQueue& eq, const std::string& name,
-                                       Time latency) {
+Pipe InterDcTopology::make_border_pipe(int dc, const std::string& name, Time latency) {
+  const TopoAtom& a = atom(dc);
   Pipe p;
-  p.queue = std::make_unique<Queue>(eq, name + ".q", cfg_.border_queue,
-                                    Rng::stream(0xB0DE5ULL, pipe_seq_++));
-  p.link = std::make_unique<Link>(eq, name + ".l", latency);
+  p.queue = std::make_unique<Queue>(*a.eq, name + ".q", cfg_.border_queue,
+                                    Rng::stream(0xB0DE5ULL, pipe_seq_++), a.packets);
+  p.link = std::make_unique<Link>(*a.eq, name + ".l", latency, a.packets);
   return p;
 }
 
@@ -21,22 +21,22 @@ ChannelPipe InterDcTopology::make_channel_pipe(int src_dc, int dst_dc,
   // so queue RNG streams are unchanged by the pipe kind.
   ChannelPipe p;
   p.queue = std::make_unique<Queue>(atom_eq(src_dc), name + ".q", cfg_.border_queue,
-                                    Rng::stream(0xB0DE5ULL, pipe_seq_++));
+                                    Rng::stream(0xB0DE5ULL, pipe_seq_++),
+                                    atom(src_dc).packets);
   p.link = std::make_unique<ChannelLink>(atom_eq(src_dc), atom_eq(dst_dc),
                                          name + ".l", latency, next_channel_id_++);
   return p;
 }
 
 InterDcTopology::InterDcTopology(EventQueue& eq, const InterDcConfig& cfg)
-    : InterDcTopology(std::vector<EventQueue*>{&eq}, cfg) {}
+    : InterDcTopology(std::vector<TopoAtom>{{&eq, nullptr}}, cfg) {}
 
-InterDcTopology::InterDcTopology(const std::vector<EventQueue*>& shard_eqs,
+InterDcTopology::InterDcTopology(const std::vector<TopoAtom>& atoms,
                                  const InterDcConfig& cfg)
-    : atom_eqs_(shard_eqs), cfg_(cfg),
+    : atoms_(atoms), cfg_(cfg),
       path_store_(*this, cfg.path_mode, cfg.path_quarantine) {
   assert(cfg_.num_dcs >= 2);
-  assert(atom_eqs_.size() == 1 ||
-         atom_eqs_.size() == static_cast<std::size_t>(cfg_.num_dcs));
+  assert(atoms_.size() == 1 || atoms_.size() == static_cast<std::size_t>(cfg_.num_dcs));
   FatTreeConfig ft;
   ft.k = cfg_.k;
   ft.link_rate = cfg_.link_rate;
@@ -46,7 +46,7 @@ InterDcTopology::InterDcTopology(const std::vector<EventQueue*>& shard_eqs,
   ft.uplink_queue = cfg_.uplink_queue;
   ft.nic_queue = cfg_.nic_queue;
   for (int d = 0; d < cfg_.num_dcs; ++d)
-    dcs_.push_back(std::make_unique<FatTreeDC>(atom_eq(d), d, ft));
+    dcs_.push_back(std::make_unique<FatTreeDC>(atom_eq(d), d, ft, atom(d).packets));
 
   core_border_.resize(cfg_.num_dcs);
   border_cross_.resize(cfg_.num_dcs);
@@ -56,9 +56,9 @@ InterDcTopology::InterDcTopology(const std::vector<EventQueue*>& shard_eqs,
     const std::string b = "dc" + std::to_string(d) + ".border";
     for (int c = 0; c < ncores; ++c) {
       core_border_[d].push_back(make_border_pipe(
-          atom_eq(d), b + ".from_core" + std::to_string(c), cfg_.fabric_link_latency));
+          d, b + ".from_core" + std::to_string(c), cfg_.fabric_link_latency));
       border_core_[d].push_back(make_border_pipe(
-          atom_eq(d), b + ".to_core" + std::to_string(c), cfg_.fabric_link_latency));
+          d, b + ".to_core" + std::to_string(c), cfg_.fabric_link_latency));
     }
     for (int peer = 0; peer < cfg_.num_dcs; ++peer) {
       for (int j = 0; j < cfg_.cross_links; ++j) {

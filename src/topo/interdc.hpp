@@ -96,15 +96,23 @@ struct InterDcConfig {
   }
 };
 
+/// What a partition atom's components run on: the event queue they schedule
+/// on, and the pool their ports park packets in (the heap when null). Both
+/// belong to the shard that owns the atom.
+struct TopoAtom {
+  EventQueue* eq = nullptr;
+  SlabPool* packets = nullptr;
+};
+
 class InterDcTopology : public PathStore::Source {
  public:
   InterDcTopology(EventQueue& eq, const InterDcConfig& cfg);
 
-  /// Sharded form: one queue per DC (partition atoms are whole DCs, each
+  /// Sharded form: one atom per DC (partition atoms are whole DCs, each
   /// including its border tier — the seam is exactly the cross links, which
   /// become ChannelLinks between the two queues). A single-element vector is
   /// the monolithic layout; sizes other than 1 or num_dcs are rejected.
-  InterDcTopology(const std::vector<EventQueue*>& shard_eqs, const InterDcConfig& cfg);
+  InterDcTopology(const std::vector<TopoAtom>& atoms, const InterDcConfig& cfg);
 
   const InterDcConfig& config() const { return cfg_; }
 
@@ -177,17 +185,18 @@ class InterDcTopology : public PathStore::Source {
   std::uint64_t total_trims() const;
 
  private:
-  Pipe make_border_pipe(EventQueue& eq, const std::string& name, Time latency);
+  Pipe make_border_pipe(int dc, const std::string& name, Time latency);
   ChannelPipe make_channel_pipe(int src_dc, int dst_dc, const std::string& name,
                                 Time latency);
 
-  /// The shard queue owning DC `d`'s components (the single shared queue in
-  /// a monolithic build).
-  EventQueue& atom_eq(int d) const {
-    return *atom_eqs_[atom_eqs_.size() == 1 ? 0 : static_cast<std::size_t>(d)];
+  /// The atom owning DC `d`'s components (the single shared one in a
+  /// monolithic build).
+  const TopoAtom& atom(int d) const {
+    return atoms_[atoms_.size() == 1 ? 0 : static_cast<std::size_t>(d)];
   }
+  EventQueue& atom_eq(int d) const { return *atom(d).eq; }
 
-  std::vector<EventQueue*> atom_eqs_;
+  std::vector<TopoAtom> atoms_;
   InterDcConfig cfg_;
   std::uint64_t pipe_seq_ = 1000000;  // distinct RNG streams from fat-tree pipes
   std::uint16_t next_channel_id_ = 0;
