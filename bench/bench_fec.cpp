@@ -157,7 +157,7 @@ MacroResult run_macro(bool quick) {
   Experiment ex(cfg);
   for (int d = 0; d < 2; ++d)
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-      ex.topo().cross_link(d, j).set_loss_model(
+      ex.topo().cross_port(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(0.005, Rng::stream(97, d * 8 + j)));
 
   const int hosts = ex.topo().hosts_per_dc();

@@ -31,7 +31,7 @@ int main() {
       Rng trial_rng = Rng::stream(cfg.seed, 0xFA11);
       // Fail one random border link (data direction) before traffic starts.
       const int dead = static_cast<int>(trial_rng.uniform_below(ex.topo().cross_link_count()));
-      ex.topo().cross_link(0, dead).set_up(false);
+      ex.topo().cross_port(0, dead).set_up(false);
 
       const int hpd = ex.topo().hosts_per_dc();
       for (int f = 0; f < flows; ++f) {

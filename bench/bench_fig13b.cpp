@@ -37,7 +37,7 @@ int main() {
       Experiment ex(cfg);
       for (int d = 0; d < 2; ++d)
         for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-          ex.topo().cross_link(d, j).set_loss_model(std::make_unique<BurstLoss>(
+          ex.topo().cross_port(d, j).set_loss_model(std::make_unique<BurstLoss>(
               base, Rng::stream(cfg.seed, 100 + d * 8 + j)));
       FlowSender& snd = ex.spawn({3, ex.topo().hosts_per_dc() + 5, flow_bytes, 0, true});
       ex.run_to_completion(horizon);

@@ -35,10 +35,10 @@ int main() {
     Experiment ex(cfg);
     for (int d = 0; d < 2; ++d)
       for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-        ex.topo().cross_link(d, j).set_loss_model(std::make_unique<BurstLoss>(
+        ex.topo().cross_port(d, j).set_loss_model(std::make_unique<BurstLoss>(
             loss, Rng::stream(cfg.seed, 500 + d * 8 + j)));
     // One border link fails outright partway through training.
-    ex.topo().cross_link(0, 2).set_up(false);
+    ex.topo().cross_port(0, 2).set_up(false);
 
     AllreduceScenario ar;
     char size_mb[32];

@@ -49,7 +49,7 @@ int main() {
     ex.spawn_all(rpc);
 
     QueueSampler qs(ex.eq(), 100 * kMicrosecond);
-    qs.watch(&ex.topo().host_ingress_queue(0));
+    qs.watch(&ex.topo().host_ingress_port(0));
     qs.start();
     ex.run_until(horizon);
     qs.stop();

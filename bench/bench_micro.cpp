@@ -8,8 +8,7 @@
 
 #include "fec/gf256.hpp"
 #include "fec/rs.hpp"
-#include "net/link.hpp"
-#include "net/queue.hpp"
+#include "net/port.hpp"
 #include "sim/event.hpp"
 #include "sim/rng.hpp"
 
@@ -100,19 +99,18 @@ class NullSink : public PacketSink {
   std::string name_ = "null";
 };
 
-void BM_QueueLinkPipeline(benchmark::State& state) {
-  // Packets through a serializing queue + propagation link, the simulator's
-  // hot path (one of these per hop per packet).
+void BM_PortPipeline(benchmark::State& state) {
+  // Packets through a port's serializer and wire, the simulator's hot path
+  // (one of these per hop per packet).
   EventQueue eq;
   QueueConfig qc;
   qc.red.enabled = true;
   qc.red.min_bytes = 1 << 18;
   qc.red.max_bytes = 3 << 18;
-  Queue q(eq, "q", qc);
-  Link l(eq, "l", kMicrosecond);
+  Port port(eq, "p", qc, kMicrosecond);
   NullSink sink;
   Route r;
-  r.hops = {&q, &l, &sink};
+  r.hops = {&port, &sink};
   std::uint64_t seq = 0;
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
@@ -125,7 +123,7 @@ void BM_QueueLinkPipeline(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(seq));
 }
-BENCHMARK(BM_QueueLinkPipeline);
+BENCHMARK(BM_PortPipeline);
 
 }  // namespace
 }  // namespace uno

@@ -13,6 +13,9 @@
 //            allocation spawn makes per flow (a counting operator new),
 //            and asserts the slab pools stop hitting the heap once warm
 //            (steady-state zero-alloc)
+//   fabric   one experiment's construction: every heap byte it asks for,
+//            per port of the fabric it builds (one port per directed
+//            adjacency), gated under a ceiling
 //   scale    a hosts-per-DC x DC-count grid of permutation runs recording
 //            events/s, p99 FCT, path bytes, and process RSS per cell
 //   shards   ONE 4-DC permutation at --shards 1/2/4: asserts all three
@@ -351,11 +354,45 @@ ShardsResult run_shards(bool quick) {
   return r;
 }
 
+// --------------------------------------------------------------- fabric --
+
+struct FabricResult {
+  int k = 0;
+  std::uint64_t ports = 0;
+  std::uint64_t port_bytes = 0;   // mem.topo.port_bytes: the port objects alone
+  std::uint64_t heap_bytes = 0;   // everything construction asked the heap for
+  std::uint64_t heap_allocs = 0;
+  double heap_bytes_per_port() const {
+    return ports == 0 ? 0.0 : static_cast<double>(heap_bytes) / static_cast<double>(ports);
+  }
+};
+
+/// Build a default two-DC experiment and charge everything its construction
+/// allocates (ports, hosts, names, queues, pools) to the fabric's ports,
+/// which dominate it.
+FabricResult run_fabric(bool quick) {
+  FabricResult r;
+  ExperimentConfig cfg;
+  cfg.seed = bench::seed();
+  cfg.fattree_k = quick ? 8 : 16;
+  r.k = cfg.fattree_k;
+  const std::uint64_t bytes0 = g_heap_bytes.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = g_heap_allocs.load(std::memory_order_relaxed);
+  Experiment ex(cfg);
+  r.heap_bytes = g_heap_bytes.load(std::memory_order_relaxed) - bytes0;
+  r.heap_allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs0;
+  MetricRegistry m;
+  ex.snapshot_metrics(m);
+  r.ports = m.counter("mem.topo.ports");
+  r.port_bytes = m.counter("mem.topo.port_bytes");
+  return r;
+}
+
 // ----------------------------------------------------------------- main --
 
 void write_json(const std::string& path, bool quick, const PathsAbResult& paths,
-                const ChurnResult& churn, const std::vector<ScaleCell>& cells,
-                const ShardsResult& shards) {
+                const ChurnResult& churn, const FabricResult& fabric,
+                const std::vector<ScaleCell>& cells, const ShardsResult& shards) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -398,6 +435,15 @@ void write_json(const std::string& path, bool quick, const PathsAbResult& paths,
                static_cast<unsigned long long>(churn.path_evictions),
                static_cast<unsigned long long>(churn.path_revived),
                static_cast<unsigned long long>(churn.slabs_reused));
+  std::fprintf(f,
+               "  \"fabric\": {\"k\": %d, \"ports\": %llu, \"port_bytes\": %llu, "
+               "\"heap_bytes\": %llu, \"heap_allocs\": %llu, "
+               "\"heap_bytes_per_port\": %.0f},\n",
+               fabric.k, static_cast<unsigned long long>(fabric.ports),
+               static_cast<unsigned long long>(fabric.port_bytes),
+               static_cast<unsigned long long>(fabric.heap_bytes),
+               static_cast<unsigned long long>(fabric.heap_allocs),
+               fabric.heap_bytes_per_port());
   std::fprintf(f, "  \"scale\": [\n");
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const ScaleCell& c = cells[i];
@@ -449,12 +495,17 @@ int main(int argc, char** argv) {
   // size-class rounding. A regression that hangs per-packet
   // state off the flow (or stops releasing it) blows through the ceiling.
   constexpr double kBytesPerFlowCeiling = 16 * 1024.0;
-  // Every heap byte spawn asks for, per flow: the 328 B record, host
-  // registrations, path acquires and the engines of flows that start at
-  // once (919 B at --quick, where fixed costs spread over 1024 flows; 576 B
-  // full), plus 10 %. A per-flow heap object or closure at spawn again, or
-  // a record that grew, trips it.
-  const double kHeapBytesPerFlowCeiling = quick ? 1011.0 : 634.0;
+  // Every heap byte spawn asks for, per flow: the 320 B record, its share of
+  // the flow table's chunks, path acquires and the engines of flows that
+  // start at once (714 B at --quick, where fixed costs spread over 1024
+  // flows; 445 B full), plus 10 %. A per-flow heap object or closure at
+  // spawn again, or a record that grew, trips it.
+  const double kHeapBytesPerFlowCeiling = quick ? 785.0 : 490.0;
+  // Every heap byte a default experiment's construction asks for, per port:
+  // the 424 B port object plus its share of names, hosts, queues and pools
+  // (481 B at --quick, k=8; 444 B full, k=16), plus 10 %. A port that grew,
+  // a second object per adjacency, or a per-port heap member trips it.
+  const double kHeapBytesPerPortCeiling = quick ? 529.0 : 488.0;
 
   bench::print_header("bench_scale",
                       quick ? "memory + scale trajectory (quick)"
@@ -504,6 +555,23 @@ int main(int argc, char** argv) {
     }
   }
 
+  FabricResult fabric;
+  if (wanted("fabric")) {
+    fabric = run_fabric(quick);
+    std::printf("fabric: k=%d, %llu ports (%llu B of port objects), construction heap "
+                "%llu B / %llu allocs = %.0f B per port\n",
+                fabric.k, static_cast<unsigned long long>(fabric.ports),
+                static_cast<unsigned long long>(fabric.port_bytes),
+                static_cast<unsigned long long>(fabric.heap_bytes),
+                static_cast<unsigned long long>(fabric.heap_allocs),
+                fabric.heap_bytes_per_port());
+    if (fabric.heap_bytes_per_port() > kHeapBytesPerPortCeiling) {
+      std::printf("fabric: construction heap bytes/port %.0f EXCEEDS ceiling %.0f\n",
+                  fabric.heap_bytes_per_port(), kHeapBytesPerPortCeiling);
+      ok = false;
+    }
+  }
+
   std::vector<ScaleCell> cells;
   if (wanted("scale")) {
     cells = run_scale(quick);
@@ -529,7 +597,7 @@ int main(int argc, char** argv) {
     ok &= shards.deterministic;
   }
 
-  if (!out.empty()) write_json(out, quick, paths, churn, cells, shards);
+  if (!out.empty()) write_json(out, quick, paths, churn, fabric, cells, shards);
   if (!ok) std::fprintf(stderr, "bench_scale: GATE FAILURE (see above)\n");
   return ok ? 0 : 1;
 }

@@ -29,7 +29,7 @@ RunResult run(const SchemeSpec& scheme, bool fail_link) {
   cfg.scheme = scheme;
   Experiment ex(cfg);
 
-  if (fail_link) ex.topo().cross_link(0, 1).set_up(false);
+  if (fail_link) ex.topo().cross_port(0, 1).set_up(false);
 
   AllreduceScenario ar;
   std::string err;

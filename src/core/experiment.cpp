@@ -164,13 +164,12 @@ Experiment::Experiment(const ExperimentConfig& cfg) : cfg_(cfg), stack_(*this) {
     // per-shard tracers in shard order for export.
     for (int s = 0; s < nshards; ++s) tracers_.push_back(std::make_unique<Tracer>(topt));
     if (nshards == 1) {
-      for (Queue* q : topo_->all_queues())
-        q->set_trace({tracers_[0].get(), tracers_[0]->add_component(q->name())});
+      for (Port* p : topo_->all_ports())
+        p->set_trace({tracers_[0].get(), tracers_[0]->add_component(p->name())});
     } else {
       for (int d = 0; d < ndcs; ++d) {
         Tracer* tr = tracers_[shard_of(d)].get();
-        for (Queue* q : topo_->atom_queues(d))
-          q->set_trace({tr, tr->add_component(q->name())});
+        for (Port* p : topo_->atom_ports(d)) p->set_trace({tr, tr->add_component(p->name())});
       }
     }
   }
@@ -182,8 +181,7 @@ Experiment::Experiment(const ExperimentConfig& cfg) : cfg_(cfg), stack_(*this) {
       qcn_.push_back(std::make_unique<QcnDispatcher>(*atom_map[nshards == 1 ? 0 : d].eq,
                                                      *topo_, cfg_.uno.qcn_feedback_delay));
       QcnDispatcher* qd = qcn_.back().get();
-      for (Queue* q : topo_->source_side_queues(d))
-        q->set_qcn_hook([qd](const Packet& p) { qd->notify(p); });
+      for (Port* p : topo_->source_side_ports(d)) p->set_qcn(qd);
     }
   }
   // The injector draws from its own RNG stream family off the experiment
@@ -431,7 +429,7 @@ void Experiment::snapshot_metrics(MetricRegistry& m, const std::vector<FlowResul
   m.set_counter("mem.flow.slab_pooled_bytes", sp_pooled);
 
   // Fabric packets (net/packet.hpp park_packet): every packet waiting in a
-  // queue lane or propagating on a link holds one block of its shard's packet
+  // queue lane or propagating on a wire holds one block of its shard's packet
   // pool. The pool carves nothing else, so live bytes over the block size is
   // the live packet count; peak sums the per-shard peaks (exact monolithic).
   const std::size_t block = SlabPool::block_size(sizeof(Packet));
@@ -448,21 +446,25 @@ void Experiment::snapshot_metrics(MetricRegistry& m, const std::vector<FlowResul
   m.set_counter("mem.packets.pool_bytes", pk_bytes);
   m.set_counter("mem.packets.heap_allocs", pk_heap);
 
-  std::uint64_t forwarded = 0, ecn_marked = 0;
-  for (const Queue* q : topo_->all_queues()) {
-    forwarded += q->forwarded();
-    ecn_marked += q->ecn_marked();
+  // One port per directed adjacency (net/port.hpp): how many the fabric
+  // built and what their objects cost (DESIGN.md §15). Lane and wire rings
+  // grow with traffic and are not counted here.
+  const std::vector<Port*> ports = topo_->all_ports();
+  m.set_counter("mem.topo.ports", ports.size());
+  m.set_counter("mem.topo.port_bytes", ports.size() * sizeof(Port));
+
+  // Batched wire delivery (net/port.cpp): how many arrivals rode along in
+  // another packet's event. delivered - coalesced = delivery events fired.
+  // Local wires only; cross ports' channels count their own deliveries.
+  std::uint64_t forwarded = 0, ecn_marked = 0, delivered = 0, coalesced = 0;
+  for (const Port* p : ports) {
+    forwarded += p->forwarded();
+    ecn_marked += p->ecn_marked();
+    delivered += p->delivered();
+    coalesced += p->coalesced_deliveries();
   }
   m.set_counter("fabric.forwarded", forwarded);
   m.set_counter("fabric.ecn_marked", ecn_marked);
-
-  // Batched link delivery (net/link.cpp): how many arrivals rode along in
-  // another packet's event. delivered - coalesced = delivery events fired.
-  std::uint64_t delivered = 0, coalesced = 0;
-  for (const Link* l : topo_->all_links()) {
-    delivered += l->delivered();
-    coalesced += l->coalesced_deliveries();
-  }
   m.set_counter("fabric.link.delivered", delivered);
   m.set_counter("fabric.link.coalesced_deliveries", coalesced);
 

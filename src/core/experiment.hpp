@@ -87,13 +87,13 @@ struct ExperimentResult {
 /// back to the sending host after a short near-source delay. Bypasses the
 /// routed fabric deliberately: the reverse path from a source-side port to
 /// the sender is 1-2 hops, which a fixed small delay models adequately.
-class QcnDispatcher final : public EventHandler {
+class QcnDispatcher final : public EventHandler, public QcnSink {
  public:
   QcnDispatcher(EventQueue& eq, InterDcTopology& topo, Time delay)
       : eq_(eq), topo_(topo), delay_(delay) {}
 
-  /// Queue hook: schedule a kQcn packet to the offending sender.
-  void notify(const Packet& p);
+  /// From a source-side port: schedule a kQcn packet to the offending sender.
+  void notify(const Packet& p) override;
   void on_event(std::uint64_t tag) override;
   std::uint64_t delivered() const { return delivered_; }
 
@@ -230,7 +230,7 @@ class Experiment {
   /// time has come builds its engine at once).
   std::vector<std::unique_ptr<SlabPool>> pools_;
   /// One pool per shard for the packets waiting in its ports' queue lanes
-  /// and link rings, confined the same way; kept apart from pools_ so the
+  /// and wire rings, confined the same way; kept apart from pools_ so the
   /// mem.flow.* counters keep meaning flow state. Declared before topo_,
   /// whose ports return their blocks on destruction.
   std::vector<std::unique_ptr<SlabPool>> packet_pools_;

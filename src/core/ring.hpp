@@ -166,9 +166,9 @@ class PodRing {
 /// packets at its peak and little otherwise. A PodRing would keep its
 /// power-of-two peak for good; here memory follows occupancy a node at a
 /// time, and up to a spare limit of drained nodes (kDefaultSpares unless
-/// set) are kept for the next pushes, so steady traffic allocates nothing
-/// (std::deque frees and reallocates a node every few entries). Supports
-/// the same positional insert/erase.
+/// the constructor says otherwise) are kept for the next pushes, so steady
+/// traffic allocates nothing (std::deque frees and reallocates a node every
+/// few entries). Supports the same positional insert/erase.
 template <typename T, std::size_t kNode = 32>
 class NodeRing {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -176,8 +176,11 @@ class NodeRing {
 
  public:
   static constexpr std::size_t kDefaultSpares = 4;
+  /// Spare limit that keeps every drained node until destruction.
+  static constexpr std::size_t kKeepAll = static_cast<std::size_t>(-1);
 
-  NodeRing() = default;
+  /// Keep up to `spare_limit` drained nodes for reuse.
+  explicit NodeRing(std::size_t spare_limit = kDefaultSpares) : spare_limit_(spare_limit) {}
   ~NodeRing() {
     clear();
     for (std::size_t i = 0; i < spare_.size(); ++i) ::operator delete(spare_[i]);
@@ -187,12 +190,6 @@ class NodeRing {
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
-  /// Nodes holding elements right now.
-  std::size_t nodes() const { return map_.size(); }
-
-  /// Keep up to `n` drained nodes for reuse from now on (spares already kept
-  /// stay until a push takes them).
-  void set_spare_limit(std::size_t n) { spare_limit_ = n; }
 
   T& front() { return (*this)[0]; }
   T& operator[](std::size_t i) {
@@ -263,7 +260,7 @@ class NodeRing {
 
   PodRing<T*> map_;    // the nodes, front to back
   PodRing<T*> spare_;  // drained nodes, kept for reuse
-  std::size_t spare_limit_ = kDefaultSpares;
+  std::size_t spare_limit_;
   std::size_t head_ = 0;  // front element's index in map_.front()
   std::size_t size_ = 0;
 };

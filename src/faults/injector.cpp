@@ -9,14 +9,6 @@ namespace uno {
 
 namespace {
 
-/// Strip a ".l"/".q" pipe suffix so one pattern addresses the whole port.
-std::string base_name(const std::string& name) {
-  if (name.size() > 2 && name[name.size() - 2] == '.' &&
-      (name.back() == 'l' || name.back() == 'q'))
-    return name.substr(0, name.size() - 2);
-  return name;
-}
-
 /// Expand the border:N / border:* sugar into a name glob.
 std::string expand_target(const std::string& target) {
   if (target.rfind("border:", 0) == 0) {
@@ -36,8 +28,7 @@ FaultInjector::FaultInjector(EventQueue& eq, InterDcTopology& topo, FaultPlan pl
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {
     const FaultEvent& e = plan_.events[i];
     targets_[i] = resolve(e.target);
-    if (targets_[i].links.empty() && targets_[i].channels.empty() &&
-        targets_[i].queues.empty()) {
+    if (targets_[i].wires.empty() && targets_[i].queues.empty()) {
       unmatched_.push_back(e.target);
       continue;
     }
@@ -55,25 +46,17 @@ FaultInjector::FaultInjector(EventQueue& eq, InterDcTopology& topo, FaultPlan pl
 FaultInjector::Targets FaultInjector::resolve(const std::string& pattern) const {
   const std::string glob = expand_target(pattern);
   Targets out;
-  for (Link* l : topo_.all_links())
-    if (glob_match(glob, base_name(l->name())) || glob_match(glob, l->name()))
-      out.links.push_back(l);
-  for (ChannelLink* c : topo_.all_channels())
-    if (glob_match(glob, base_name(c->name())) || glob_match(glob, c->name()))
-      out.channels.push_back(c);
-  for (Queue* q : topo_.all_queues())
-    if (glob_match(glob, base_name(q->name())) || glob_match(glob, q->name()))
-      out.queues.push_back(q);
+  for (Port* p : topo_.all_ports()) {
+    const bool whole = glob_match(glob, p->name());
+    if (whole || glob_match(glob, p->name() + ".l")) out.wires.push_back(p);
+    if (whole || glob_match(glob, p->name() + ".q")) out.queues.push_back(p);
+  }
   return out;
 }
 
 void FaultInjector::set_links_up(std::size_t i, bool up) {
-  for (Link* l : targets_[i].links) {
-    l->set_up(up);
-    ++actions_;
-  }
-  for (ChannelLink* c : targets_[i].channels) {
-    c->set_up(up);
+  for (Port* p : targets_[i].wires) {
+    p->set_up(up);
     ++actions_;
   }
 }
@@ -105,15 +88,9 @@ void FaultInjector::apply(std::size_t i) {
       break;
     case FaultKind::kLatency:
       s.latencies.clear();
-      for (Link* l : t.links) {
-        s.latencies.push_back(l->latency());
-        l->set_latency(static_cast<Time>(static_cast<double>(l->latency()) * e.factor) +
-                       e.add);
-        ++actions_;
-      }
-      for (ChannelLink* c : t.channels) {
-        s.latencies.push_back(c->latency());
-        c->set_latency(static_cast<Time>(static_cast<double>(c->latency()) * e.factor) +
+      for (Port* p : t.wires) {
+        s.latencies.push_back(p->latency());
+        p->set_latency(static_cast<Time>(static_cast<double>(p->latency()) * e.factor) +
                        e.add);
         ++actions_;
       }
@@ -129,18 +106,14 @@ void FaultInjector::apply(std::size_t i) {
         }
         return std::make_unique<BernoulliLoss>(e.rate, Rng::stream(seed_, stream++));
       };
-      for (Link* l : t.links) {
-        s.losses.push_back(l->swap_loss_model(make_model()));
-        ++actions_;
-      }
-      for (ChannelLink* c : t.channels) {
-        s.losses.push_back(c->swap_loss_model(make_model()));
+      for (Port* p : t.wires) {
+        s.losses.push_back(p->swap_loss_model(make_model()));
         ++actions_;
       }
       break;
     }
     case FaultKind::kEcnStuck:
-      for (Queue* q : t.queues) {
+      for (Port* q : t.queues) {
         q->set_force_ecn(true);
         ++actions_;
       }
@@ -159,28 +132,20 @@ void FaultInjector::restore(std::size_t i) {
       set_links_up(i, true);
       break;
     case FaultKind::kLatency:
-      for (std::size_t j = 0; j < t.links.size(); ++j) {
-        t.links[j]->set_latency(s.latencies[j]);
-        ++actions_;
-      }
-      for (std::size_t j = 0; j < t.channels.size(); ++j) {
-        t.channels[j]->set_latency(s.latencies[t.links.size() + j]);
+      for (std::size_t j = 0; j < t.wires.size(); ++j) {
+        t.wires[j]->set_latency(s.latencies[j]);
         ++actions_;
       }
       break;
     case FaultKind::kLoss:
-      for (std::size_t j = 0; j < t.links.size(); ++j) {
-        t.links[j]->swap_loss_model(std::move(s.losses[j]));
-        ++actions_;
-      }
-      for (std::size_t j = 0; j < t.channels.size(); ++j) {
-        t.channels[j]->swap_loss_model(std::move(s.losses[t.links.size() + j]));
+      for (std::size_t j = 0; j < t.wires.size(); ++j) {
+        t.wires[j]->swap_loss_model(std::move(s.losses[j]));
         ++actions_;
       }
       s.losses.clear();
       break;
     case FaultKind::kEcnStuck:
-      for (Queue* q : t.queues) {
+      for (Port* q : t.queues) {
         q->set_force_ecn(false);
         ++actions_;
       }

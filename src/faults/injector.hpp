@@ -1,10 +1,12 @@
 // FaultInjector: executes a FaultPlan against an InterDcTopology.
 //
-// Targets are resolved to concrete links/queues once at construction (the
-// topology is immutable after build), every occurrence is scheduled on the
-// shared event queue, and all stochastic state (gray-failure loss spikes)
-// draws from a dedicated RNG stream family so adding faults never perturbs
-// the random sequences of the workload, fabric, or load balancers.
+// Targets are resolved to concrete ports once at construction (the topology
+// is immutable after build): a bare port name addresses the whole port, a
+// name ending in ".l" only its wire and one ending in ".q" only its queue
+// side. Every occurrence is scheduled on the shared event queue, and all
+// stochastic state (gray-failure loss spikes) draws from a dedicated RNG
+// stream family so adding faults never perturbs the random sequences of the
+// workload, fabric, or load balancers.
 #pragma once
 
 #include <memory>
@@ -12,10 +14,8 @@
 #include <vector>
 
 #include "faults/plan.hpp"
-#include "net/channel.hpp"
-#include "net/link.hpp"
 #include "net/loss.hpp"
-#include "net/queue.hpp"
+#include "net/port.hpp"
 #include "obs/trace.hpp"
 #include "sim/event.hpp"
 
@@ -35,14 +35,12 @@ class FaultInjector final : public EventHandler {
   /// Earliest disruptive event time (kTimeInfinity for repair-only plans).
   Time first_onset() const { return plan_.first_onset(); }
 
-  /// Total link/queue state changes applied so far.
+  /// Total wire/queue state changes applied so far.
   std::uint64_t actions() const { return actions_; }
-  /// Number of links the event at plan index `i` resolved to. Cross-DC
+  /// Number of wires the event at plan index `i` resolved to. Cross ports'
   /// ChannelLinks count here too: a fault pattern addresses "links" without
-  /// caring which concrete kind the topology built.
-  std::size_t links_matched(std::size_t i) const {
-    return targets_[i].links.size() + targets_[i].channels.size();
-  }
+  /// caring which kind of wire the topology built.
+  std::size_t links_matched(std::size_t i) const { return targets_[i].wires.size(); }
   std::size_t queues_matched(std::size_t i) const { return targets_[i].queues.size(); }
   /// Targets that matched no element (almost always a typo in the pattern).
   const std::vector<std::string>& unmatched() const { return unmatched_; }
@@ -57,13 +55,13 @@ class FaultInjector final : public EventHandler {
     return static_cast<std::uint32_t>(event << 1) | phase;
   }
 
+  /// Both in InterDcTopology::all_ports() order: local wires before the
+  /// cross ports' channels.
   struct Targets {
-    std::vector<Link*> links;
-    std::vector<ChannelLink*> channels;  // cross-DC seam links
-    std::vector<Queue*> queues;
+    std::vector<Port*> wires;
+    std::vector<Port*> queues;
   };
-  /// Per-event saved state for restoration at `until`. Per-link vectors are
-  /// laid out links-first-then-channels, matching the apply order.
+  /// Per-event saved state for restoration at `until`, one entry per wire.
   struct Saved {
     std::vector<Time> latencies;                       // kLatency
     std::vector<std::unique_ptr<LossModel>> losses;    // kLoss (displaced models)

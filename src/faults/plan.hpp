@@ -15,12 +15,13 @@
 // Times/durations take an ns/us/ms/s suffix (bare numbers are microseconds).
 // `duty` is the fraction of each flap period the link spends DOWN.
 //
-// Targets select pipes (queue+link) by name:
+// Targets select ports (queue + wire) by name:
 //   border:N    — WAN cross link N, every direction  (sugar for *.cross*.N)
 //   border:*    — every WAN cross link               (sugar for *.cross*)
-//   <glob>      — '*'/'?' glob over pipe names, e.g. dc0.* or *.c3.down1
-// down/up/flap/latency/loss act on the matched links; ecn-stuck acts on the
-// matched queues.
+//   <glob>      — '*'/'?' glob over port names, e.g. dc0.* or *.c3.down1
+// A name matches a whole port; appending ".l" matches only its wire and
+// ".q" only its queue side (e.g. *.from_core*.l). down/up/flap/latency/loss
+// act on the matched wires; ecn-stuck acts on the matched queues.
 #pragma once
 
 #include <string>

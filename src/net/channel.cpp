@@ -1,6 +1,5 @@
 #include "net/channel.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace uno {
@@ -13,7 +12,12 @@ ChannelLink::ChannelLink(EventQueue& src_eq, EventQueue& dst_eq,
       split_(&src_eq != &dst_eq),
       name_(std::move(name)),
       latency_(latency),
-      id_(channel_id) {
+      id_(channel_id),
+      // Split: the destination drains pending_ during each window and the
+      // next barrier flush refills it, so keep every node it ever filled
+      // rather than free them on one thread and allocate them again on the
+      // other. Unsplit channels give drained memory back.
+      pending_(split_ ? NodeRing<InFlight>::kKeepAll : NodeRing<InFlight>::kDefaultSpares) {
   // Bounded-lag windows are `lookahead - 1` long; a sub-2ps channel would
   // degenerate them (sim/shard.hpp). No physical WAN link is remotely close.
   assert(!split_ || latency_ >= 2);
@@ -59,11 +63,6 @@ std::size_t ChannelLink::flush_staged() {
   staging_.clear();
   schedule_front();
   pending_at_flush_ = pending_.size();
-  // Split: the destination drains pending_ during the window and the next
-  // flush refills it, so keep as many drained nodes as it fills now rather
-  // than free them on one thread and allocate them again on another every
-  // window. They were resident at this barrier anyway.
-  if (split_) pending_.set_spare_limit(std::max(pending_.kDefaultSpares, pending_.nodes()));
   note_occupancy();
   return n;
 }

@@ -1,4 +1,5 @@
-// Cross-shard boundary link: the channel endpoint form of net/link.hpp.
+// Cross-shard boundary wire: the wire of a Port (net/port.hpp) whose
+// adjacency spans a shard seam.
 //
 // A ChannelLink carries packets across a shard seam (in this topology, the
 // WAN links between data centers). Its ingress runs on the *source* shard's
@@ -14,12 +15,12 @@
 // (time, seq) dispatch order is identical for every --shards value — this is
 // what makes sharded runs bit-identical to sequential ones.
 //
-// Semantics deliberately differ from Link in one respect: set_up(false)
-// drops at ingress only — packets already in flight still deliver their
-// tail. Link flushes them synchronously, which would race with the
-// destination shard; physically this models severing the wire at the sender
-// end. Fault scripts that need flush semantics run monolithic (uno_sim gates
-// fault plans to --shards 1).
+// Semantics deliberately differ from a port's local wire in one respect:
+// set_up(false) drops at ingress only — packets already in flight still
+// deliver their tail. A local wire flushes them synchronously, which would
+// race with the destination shard; physically this models severing the wire
+// at the sender end. Fault scripts that need flush semantics run monolithic
+// (uno_sim gates fault plans to --shards 1).
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,7 @@ class ChannelLink final : public PacketSink,
   /// Egress: runs on the destination shard; tag is the per-channel sequence.
   void on_event(std::uint64_t chanseq) override;
 
-  // Link-compatible control surface (used by fault injection and tests).
+  // Wire control surface (driven through the owning Port, and by tests).
   const std::string& name() const override { return name_; }
   Time latency() const { return latency_; }
   void set_latency(Time latency) { latency_ = latency; }
@@ -120,7 +121,8 @@ class ChannelLink final : public PacketSink,
   std::uint64_t next_chanseq_ = 0;
   /// Written by the source shard during a window; drained at the barrier.
   /// Both rings recycle their nodes, so a steady crossing rate allocates
-  /// nothing, and their memory follows occupancy (core/ring.hpp).
+  /// nothing (core/ring.hpp). An unsplit channel's memory follows
+  /// occupancy; a split one keeps every pending_ node it has filled.
   NodeRing<InFlight> staging_;
   /// In-flight packets in (due, chanseq) order, owned by the destination
   /// shard between barriers. Delivery is looked up by chanseq rather than

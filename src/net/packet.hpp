@@ -1,9 +1,9 @@
 // Packet representation and source routing.
 //
 // Packets are plain values moved hop-to-hop; a `Route` is a pre-computed
-// sequence of `PacketSink*` (queues, links, and finally an endpoint), in the
-// style of htsim's source routing. Data, ACK and NACK packets share one
-// struct so queues and links stay type-agnostic.
+// sequence of `PacketSink*` (one port per adjacency, and finally an
+// endpoint), in the style of htsim's source routing. Data, ACK and NACK
+// packets share one struct so ports stay type-agnostic.
 #pragma once
 
 #include <cassert>
@@ -18,15 +18,15 @@ namespace uno {
 
 struct Packet;
 
-/// Anything a packet can be handed to: a queue, a link, or an endpoint.
+/// Anything a packet can be handed to: a port or an endpoint.
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
   virtual void receive(Packet&& p) = 0;
   /// Take a packet parked in a block of `pool` (park_packet below), with the
   /// block. The default copies it out to receive() and releases the block;
-  /// queues and links keep the block, so a packet crosses the fabric in one
-  /// block and each hop passes a pointer.
+  /// ports keep the block, so a packet crosses the fabric in one block and
+  /// each hop passes a pointer.
   virtual void receive_parked(Packet* p, SlabPool* pool);
   /// Human-readable name for traces and assertions.
   virtual const std::string& name() const = 0;
@@ -225,7 +225,7 @@ inline void forward(Packet&& p) {
 }
 
 /// A packet in the fabric (waiting in a queue lane or propagating on a
-/// link) lives in a block of its shard's packet pool, and ports hold only
+/// wire) lives in a block of its shard's packet pool, and ports hold only
 /// the pointer: the fabric pays for the packets that exist, not for every
 /// port's peak (DESIGN.md §9). Ports built without a pool park on the heap.
 inline Packet* park_packet(SlabPool* pool, Packet&& p) {

@@ -20,7 +20,7 @@ double TimeSeries::mean() const {
 
 // --- QueueSampler -----------------------------------------------------------
 
-void QueueSampler::watch(Queue* q) {
+void QueueSampler::watch(Port* q) {
   queues_.push_back(q);
   physical_.push_back(TimeSeries{q->name(), {}, {}});
   phantom_.push_back(TimeSeries{q->name() + ".phantom", {}, {}});

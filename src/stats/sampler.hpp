@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "net/queue.hpp"
+#include "net/port.hpp"
 #include "sim/event.hpp"
 #include "transport/flow.hpp"
 
@@ -29,12 +29,12 @@ struct TimeSeries {
   double mean() const;
 };
 
-/// Samples physical (and, when enabled, phantom) occupancy of queues.
+/// Samples physical (and, when enabled, phantom) occupancy of port queues.
 class QueueSampler final : public EventHandler {
  public:
   QueueSampler(EventQueue& eq, Time period) : eq_(eq), period_(period) {}
 
-  void watch(Queue* q);
+  void watch(Port* q);
   void start();
   void stop() { running_ = false; }
   void on_event(std::uint64_t tag) override;
@@ -47,7 +47,7 @@ class QueueSampler final : public EventHandler {
   EventQueue& eq_;
   Time period_;
   bool running_ = false;
-  std::vector<Queue*> queues_;
+  std::vector<Port*> queues_;
   std::vector<TimeSeries> physical_;
   std::vector<TimeSeries> phantom_;
 };

@@ -1,37 +1,19 @@
 // k-ary fat-tree datacenter fabric (Al-Fares et al.), as simulated in the
 // paper: k pods of k/2 edge + k/2 aggregation switches, (k/2)^2 cores,
-// k/2 hosts per edge switch. Every directed device-to-device adjacency is a
-// `Pipe` (output-port queue + propagation link); routes are sequences of
-// pipes assembled by `InterDcTopology`.
+// k/2 hosts per edge switch. Every directed device-to-device adjacency is
+// one `Port` (output queue + the wire behind it); routes are sequences of
+// ports assembled by `InterDcTopology`.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/slab.hpp"
 #include "net/host.hpp"
-#include "net/link.hpp"
-#include "net/queue.hpp"
+#include "net/port.hpp"
 #include "sim/event.hpp"
-#include "topo/pathset.hpp"
 
 namespace uno {
-
-/// One directed port: serializing queue followed by a propagation link.
-struct Pipe {
-  std::unique_ptr<Queue> queue;
-  std::unique_ptr<Link> link;
-
-  /// Append this pipe's sinks to a route under construction.
-  void append_to(Route& r) const {
-    r.hops.push_back(queue.get());
-    r.hops.push_back(link.get());
-  }
-  void append_to(RouteScratch& r) const {
-    r.push(queue.get());
-    r.push(link.get());
-  }
-};
 
 struct FatTreeConfig {
   int k = 8;                              // arity (even)
@@ -43,12 +25,16 @@ struct FatTreeConfig {
   QueueConfig nic_queue;     // host TX port: deep (software backpressure)
 };
 
-/// One datacenter's worth of switches, pipes, and hosts. Pure structure:
+/// One datacenter's worth of switches, ports, and hosts. Pure structure:
 /// path assembly lives in InterDcTopology.
 class FatTreeDC {
  public:
-  /// Every port parks its packets in `packets` (the heap when null).
-  FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg, SlabPool* packets = nullptr);
+  /// Every port parks its packets in `packets` (the heap when null); every
+  /// host demultiplexes through `flows`. Both must outlive the DC.
+  FatTreeDC(EventQueue& eq, int dc_id, const FatTreeConfig& cfg, FlowTable& flows,
+            SlabPool* packets = nullptr);
+  FatTreeDC(const FatTreeDC&) = delete;
+  FatTreeDC& operator=(const FatTreeDC&) = delete;
 
   int k() const { return cfg_.k; }
   int radix() const { return cfg_.k / 2; }
@@ -68,51 +54,45 @@ class FatTreeDC {
   /// The aggregation-group index a core belongs to (agg slot in every pod).
   int core_group(int core) const { return core / radix(); }
 
-  Host& host(int h) { return *hosts_[h]; }
-  const Host& host(int h) const { return *hosts_[h]; }
+  Host& host(int h) { return hosts_[h]; }
+  const Host& host(int h) const { return hosts_[h]; }
 
-  // --- pipes (directed ports) -----------------------------------------------
+  // --- ports (directed adjacencies) -------------------------------------------
   // host NIC -> its edge switch
-  Pipe& host_up(int host) { return host_up_[host]; }
+  Port& host_up(int host) { return ports_[host]; }
   // edge switch -> host (indexed by global edge, local port)
-  Pipe& edge_down(int edge, int port) { return edge_down_[edge][port]; }
-  Pipe& edge_down_for_host(int host) {
-    return edge_down_[edge_index(host)][port_of(host)];
-  }
+  Port& edge_down(int edge, int port) { return ports_[group(kEdgeDown) + edge * radix() + port]; }
+  Port& edge_down_for_host(int host) { return edge_down(edge_index(host), port_of(host)); }
   // edge -> aggregation (global edge, agg slot within pod)
-  Pipe& edge_up(int edge, int agg) { return edge_up_[edge][agg]; }
+  Port& edge_up(int edge, int agg) { return ports_[group(kEdgeUp) + edge * radix() + agg]; }
   // aggregation -> edge (pod, agg slot, edge slot)
-  Pipe& agg_down(int pod, int agg, int edge) { return agg_down_[pod * radix() + agg][edge]; }
+  Port& agg_down(int pod, int agg, int edge) {
+    return ports_[group(kAggDown) + (pod * radix() + agg) * radix() + edge];
+  }
   // aggregation -> core (pod, agg slot, core slot within the agg's group)
-  Pipe& agg_up(int pod, int agg, int core_slot) { return agg_up_[pod * radix() + agg][core_slot]; }
+  Port& agg_up(int pod, int agg, int core_slot) {
+    return ports_[group(kAggUp) + (pod * radix() + agg) * radix() + core_slot];
+  }
   // core -> pod's aggregation switch in the core's group
-  Pipe& core_down(int core, int pod) { return core_down_[core][pod]; }
+  Port& core_down(int core, int pod) { return ports_[group(kCoreDown) + core * cfg_.k + pod]; }
   /// Global core index reached from (agg slot, core slot).
   int core_index(int agg, int core_slot) const { return agg * radix() + core_slot; }
 
-  /// All queues in this DC (for stats aggregation and conservation checks).
-  std::vector<Queue*> all_queues() const;
+  /// Every port in this DC, grouped by kind (host_up, edge_down, edge_up,
+  /// agg_down, agg_up, core_down): stats, traces and fault targets.
+  std::vector<Port*> all_ports() const;
   /// Source-side uplink ports (edge->agg, agg->core): where Annulus-style
   /// near-source congestion feedback is installed.
-  std::vector<Queue*> uplink_queues() const;
-  std::vector<Link*> all_links() const;
+  std::vector<Port*> uplink_ports() const;
 
  private:
-  Pipe make_pipe(const std::string& name, Time latency, const QueueConfig& qcfg);
+  /// Port kinds in storage order; every kind has num_hosts() ports.
+  enum Kind { kHostUp = 0, kEdgeDown, kEdgeUp, kAggDown, kAggUp, kCoreDown, kKinds };
+  std::size_t group(Kind kind) const { return static_cast<std::size_t>(kind) * num_hosts(); }
 
-  EventQueue& eq_;
-  SlabPool* packets_;
-  int dc_id_;
-  FatTreeConfig cfg_;
-  std::uint64_t pipe_seq_ = 0;  // per-pipe RNG stream for RED sampling
-
-  std::vector<std::unique_ptr<Host>> hosts_;
-  std::vector<Pipe> host_up_;
-  std::vector<std::vector<Pipe>> edge_down_;  // [edge][port]
-  std::vector<std::vector<Pipe>> edge_up_;    // [edge][agg]
-  std::vector<std::vector<Pipe>> agg_down_;   // [pod*radix+agg][edge]
-  std::vector<std::vector<Pipe>> agg_up_;     // [pod*radix+agg][core_slot]
-  std::vector<std::vector<Pipe>> core_down_;  // [core][pod]
+  FatTreeConfig cfg_;  // the port classes' QueueConfigs live here, shared by pointer
+  ChunkedVec<Host> hosts_;
+  ChunkedVec<Port> ports_;  // kKinds groups of num_hosts() ports
 };
 
 }  // namespace uno

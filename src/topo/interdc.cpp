@@ -4,30 +4,6 @@
 
 namespace uno {
 
-Pipe InterDcTopology::make_border_pipe(int dc, const std::string& name, Time latency) {
-  const TopoAtom& a = atom(dc);
-  Pipe p;
-  p.queue = std::make_unique<Queue>(*a.eq, name + ".q", cfg_.border_queue,
-                                    Rng::stream(0xB0DE5ULL, pipe_seq_++), a.packets);
-  p.link = std::make_unique<Link>(*a.eq, name + ".l", latency, a.packets);
-  return p;
-}
-
-ChannelPipe InterDcTopology::make_channel_pipe(int src_dc, int dst_dc,
-                                               const std::string& name,
-                                               Time latency) {
-  // The serializing queue belongs to the source DC's shard; the ChannelLink
-  // spans the seam. pipe_seq_ advances exactly as make_border_pipe's would,
-  // so queue RNG streams are unchanged by the pipe kind.
-  ChannelPipe p;
-  p.queue = std::make_unique<Queue>(atom_eq(src_dc), name + ".q", cfg_.border_queue,
-                                    Rng::stream(0xB0DE5ULL, pipe_seq_++),
-                                    atom(src_dc).packets);
-  p.link = std::make_unique<ChannelLink>(atom_eq(src_dc), atom_eq(dst_dc),
-                                         name + ".l", latency, next_channel_id_++);
-  return p;
-}
-
 InterDcTopology::InterDcTopology(EventQueue& eq, const InterDcConfig& cfg)
     : InterDcTopology(std::vector<TopoAtom>{{&eq, nullptr}}, cfg) {}
 
@@ -46,33 +22,48 @@ InterDcTopology::InterDcTopology(const std::vector<TopoAtom>& atoms,
   ft.uplink_queue = cfg_.uplink_queue;
   ft.nic_queue = cfg_.nic_queue;
   for (int d = 0; d < cfg_.num_dcs; ++d)
-    dcs_.push_back(std::make_unique<FatTreeDC>(atom_eq(d), d, ft, atom(d).packets));
+    dcs_.push_back(std::make_unique<FatTreeDC>(atom_eq(d), d, ft, flows_, atom(d).packets));
 
-  core_border_.resize(cfg_.num_dcs);
-  border_cross_.resize(cfg_.num_dcs);
-  border_core_.resize(cfg_.num_dcs);
-  const int ncores = dcs_[0]->num_cores();
-  for (int d = 0; d < cfg_.num_dcs; ++d) {
-    const std::string b = "dc" + std::to_string(d) + ".border";
-    for (int c = 0; c < ncores; ++c) {
-      core_border_[d].push_back(make_border_pipe(
-          d, b + ".from_core" + std::to_string(c), cfg_.fabric_link_latency));
-      border_core_[d].push_back(make_border_pipe(
-          d, b + ".to_core" + std::to_string(c), cfg_.fabric_link_latency));
-    }
-    for (int peer = 0; peer < cfg_.num_dcs; ++peer) {
+  // Border ports draw RED decisions from streams numbered border by border
+  // (each core's ->border and border-> ports in turn, then the cross ports
+  // peer by peer), whatever order they are stored in.
+  const int nd = cfg_.num_dcs;
+  const int nc = num_cores_ = dcs_[0]->num_cores();
+  const std::uint64_t per_dc = 2ull * nc + static_cast<std::uint64_t>(nd - 1) * cfg_.cross_links;
+  auto stream = [&](int d, std::uint64_t i) {
+    return Rng::stream(0xB0DE5ULL, 1000000 + d * per_dc + i);
+  };
+  auto border = [&](int d) { return "dc" + std::to_string(d) + ".border"; };
+  for (int d = 0; d < nd; ++d)
+    for (int c = 0; c < nc; ++c)
+      border_.emplace_back(atom_eq(d), border(d) + ".from_core" + std::to_string(c),
+                           cfg_.border_queue, cfg_.fabric_link_latency, stream(d, 2ull * c),
+                           atom(d).packets);
+  for (int d = 0; d < nd; ++d)
+    for (int c = 0; c < nc; ++c)
+      border_.emplace_back(atom_eq(d), border(d) + ".to_core" + std::to_string(c),
+                           cfg_.border_queue, cfg_.fabric_link_latency,
+                           stream(d, 2ull * c + 1), atom(d).packets);
+  // A cross port's serializer belongs to the source DC's shard; its wire, a
+  // ChannelLink, spans the seam. Channel ids follow this build order.
+  std::uint16_t channel_id = 0;
+  for (int d = 0; d < nd; ++d) {
+    for (int peer = 0; peer < nd; ++peer) {
+      if (peer == d) continue;
+      const int rank = peer < d ? peer : peer - 1;
       for (int j = 0; j < cfg_.cross_links; ++j) {
-        if (peer == d) {
-          border_cross_[d].emplace_back();  // diagonal: no self links
-        } else {
-          border_cross_[d].push_back(make_channel_pipe(
-              d, peer,
-              b + ".cross" + std::to_string(peer) + "." + std::to_string(j),
-              cfg_.cross_latency_between(d, peer)));
-        }
+        const std::string name =
+            border(d) + ".cross" + std::to_string(peer) + "." + std::to_string(j);
+        border_.emplace_back(
+            atom_eq(d), name, cfg_.border_queue,
+            std::make_unique<ChannelLink>(atom_eq(d), atom_eq(peer), name,
+                                          cfg_.cross_latency_between(d, peer), channel_id++),
+            stream(d, 2ull * nc + static_cast<std::uint64_t>(rank) * cfg_.cross_links + j),
+            atom(d).packets);
       }
     }
   }
+  assert(border_.size() == cross_index(nd - 1, nd - 2, cfg_.cross_links - 1) + 1);
 }
 
 // Route enumeration is a pure function of the ordered pair: the hop
@@ -98,8 +89,8 @@ void InterDcTopology::generate_routes(int src, int dst,
     const int es = S.edge_index(s), et = S.edge_index(t);
     if (es == et) {
       RouteScratch route;
-      S.host_up(s).append_to(route);
-      S.edge_down(et, S.port_of(t)).append_to(route);
+      route.push(&S.host_up(s));
+      route.push(&S.edge_down(et, S.port_of(t)));
       finish(route);
       return;
     }
@@ -107,10 +98,10 @@ void InterDcTopology::generate_routes(int src, int dst,
       // One path per aggregation switch in the pod.
       for (int a = 0; a < r && static_cast<int>(out.size()) < cfg_.max_paths_intra; ++a) {
         RouteScratch route;
-        S.host_up(s).append_to(route);
-        S.edge_up(es, a).append_to(route);
-        S.agg_down(S.pod_of(t), a, S.edge_of(t)).append_to(route);
-        S.edge_down(et, S.port_of(t)).append_to(route);
+        route.push(&S.host_up(s));
+        route.push(&S.edge_up(es, a));
+        route.push(&S.agg_down(S.pod_of(t), a, S.edge_of(t)));
+        route.push(&S.edge_down(et, S.port_of(t)));
         finish(route);
       }
       return;
@@ -121,12 +112,12 @@ void InterDcTopology::generate_routes(int src, int dst,
         if (static_cast<int>(out.size()) >= cfg_.max_paths_intra) return;
         const int core = S.core_index(a, cs);
         RouteScratch route;
-        S.host_up(s).append_to(route);
-        S.edge_up(es, a).append_to(route);
-        S.agg_up(S.pod_of(s), a, cs).append_to(route);
-        S.core_down(core, S.pod_of(t)).append_to(route);
-        S.agg_down(S.pod_of(t), S.core_group(core), S.edge_of(t)).append_to(route);
-        S.edge_down(et, S.port_of(t)).append_to(route);
+        route.push(&S.host_up(s));
+        route.push(&S.edge_up(es, a));
+        route.push(&S.agg_up(S.pod_of(s), a, cs));
+        route.push(&S.core_down(core, S.pod_of(t)));
+        route.push(&S.agg_down(S.pod_of(t), S.core_group(core), S.edge_of(t)));
+        route.push(&S.edge_down(et, S.port_of(t)));
         finish(route);
       }
     }
@@ -147,83 +138,63 @@ void InterDcTopology::generate_routes(int src, int dst,
     const int c2 = static_cast<int>(rng.uniform_below(ncores));
     const int core = S.core_index(a, cs);
     RouteScratch route;
-    S.host_up(s).append_to(route);
-    S.edge_up(es, a).append_to(route);
-    S.agg_up(S.pod_of(s), a, cs).append_to(route);
-    core_border_[sd][core].append_to(route);
-    cross_pipe(sd, dd, j).append_to(route);
-    border_core_[dd][c2].append_to(route);
-    D.core_down(c2, D.pod_of(t)).append_to(route);
-    D.agg_down(D.pod_of(t), D.core_group(c2), D.edge_of(t)).append_to(route);
-    D.edge_down(et, D.port_of(t)).append_to(route);
+    route.push(&S.host_up(s));
+    route.push(&S.edge_up(es, a));
+    route.push(&S.agg_up(S.pod_of(s), a, cs));
+    route.push(&border_[core_border_index(sd, core)]);
+    route.push(&border_[cross_index(sd, dd, j)]);
+    route.push(&border_[border_core_index(dd, c2)]);
+    route.push(&D.core_down(c2, D.pod_of(t)));
+    route.push(&D.agg_down(D.pod_of(t), D.core_group(c2), D.edge_of(t)));
+    route.push(&D.edge_down(et, D.port_of(t)));
     finish(route);
   }
 }
 
-std::vector<Queue*> InterDcTopology::all_queues() const {
-  std::vector<Queue*> out;
+std::vector<Port*> InterDcTopology::all_ports() const {
+  std::vector<Port*> out;
   for (const auto& dc : dcs_) {
-    auto q = dc->all_queues();
-    out.insert(out.end(), q.begin(), q.end());
+    auto p = dc->all_ports();
+    out.insert(out.end(), p.begin(), p.end());
   }
-  for (const auto& side : {&core_border_, &border_core_})
-    for (const auto& per_dc : *side)
-      for (const Pipe& p : per_dc)
-        if (p.queue) out.push_back(p.queue.get());
-  for (const auto& per_dc : border_cross_)
-    for (const ChannelPipe& p : per_dc)
-      if (p.queue) out.push_back(p.queue.get());
+  for (std::size_t i = 0; i < border_.size(); ++i)
+    out.push_back(const_cast<Port*>(&border_[i]));
   return out;
 }
 
-std::vector<Queue*> InterDcTopology::atom_queues(int d) const {
-  std::vector<Queue*> out = dcs_[d]->all_queues();
-  for (const auto* side : {&core_border_, &border_core_})
-    for (const Pipe& p : (*side)[d])
-      if (p.queue) out.push_back(p.queue.get());
-  for (const ChannelPipe& p : border_cross_[d])
-    if (p.queue) out.push_back(p.queue.get());
+std::vector<Port*> InterDcTopology::atom_ports(int d) const {
+  std::vector<Port*> out = dcs_[d]->all_ports();
+  auto add = [&](std::size_t i) { out.push_back(const_cast<Port*>(&border_[i])); };
+  for (int c = 0; c < num_cores_; ++c) add(core_border_index(d, c));
+  for (int c = 0; c < num_cores_; ++c) add(border_core_index(d, c));
+  for (int peer = 0; peer < cfg_.num_dcs; ++peer)
+    for (int j = 0; peer != d && j < cfg_.cross_links; ++j) add(cross_index(d, peer, j));
   return out;
 }
 
-std::vector<Queue*> InterDcTopology::source_side_queues(int dc) const {
-  std::vector<Queue*> out = dcs_[dc]->uplink_queues();
-  for (const Pipe& p : core_border_[dc]) out.push_back(p.queue.get());
-  return out;
-}
-
-std::vector<Link*> InterDcTopology::all_links() const {
-  std::vector<Link*> out;
-  for (const auto& dc : dcs_) {
-    auto l = dc->all_links();
-    out.insert(out.end(), l.begin(), l.end());
-  }
-  for (const auto& side : {&core_border_, &border_core_})
-    for (const auto& per_dc : *side)
-      for (const Pipe& p : per_dc)
-        if (p.link) out.push_back(p.link.get());
+std::vector<Port*> InterDcTopology::source_side_ports(int dc) const {
+  std::vector<Port*> out = dcs_[dc]->uplink_ports();
+  for (int c = 0; c < num_cores_; ++c)
+    out.push_back(const_cast<Port*>(&border_[core_border_index(dc, c)]));
   return out;
 }
 
 std::vector<ChannelLink*> InterDcTopology::all_channels() const {
   std::vector<ChannelLink*> out;
-  for (const auto& per_dc : border_cross_)
-    for (const ChannelPipe& p : per_dc)
-      if (p.link) out.push_back(p.link.get());
+  for (std::size_t i = cross_index(0, 1, 0); i < border_.size(); ++i)
+    out.push_back(border_[i].channel());
   return out;
 }
 
 std::uint64_t InterDcTopology::total_drops() const {
   std::uint64_t drops = 0;
-  for (const Queue* q : all_queues()) drops += q->drops();
-  for (const Link* l : all_links()) drops += l->dropped();
-  for (const ChannelLink* c : all_channels()) drops += c->dropped();
+  for (const Port* p : all_ports()) drops += p->drops() + p->wire_drops();
   return drops;
 }
 
 std::uint64_t InterDcTopology::total_trims() const {
   std::uint64_t trims = 0;
-  for (const Queue* q : all_queues()) trims += q->trims();
+  for (const Port* p : all_ports()) trims += p->trims();
   return trims;
 }
 

@@ -5,12 +5,13 @@
 // the borders form a full mesh: `cross_links` parallel links per ordered
 // DC pair, each pair's WAN latency individually configurable.
 //
-// The topology owns all queues/links/hosts; source routes are produced on
+// The topology owns all ports and hosts; source routes are produced on
 // demand by a flyweight PathStore (topo/pathgen.hpp) that packs each host
 // pair's routes into one shared slab. Inter-DC path diversity (agg x core x
 // cross-link x remote core) is sampled down to `max_paths_inter` entropies.
 #pragma once
 
+#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -20,22 +21,6 @@
 #include "topo/pathset.hpp"
 
 namespace uno {
-
-/// A border-crossing pipe: serializing queue (owned by the source DC's
-/// shard) feeding a ChannelLink that spans the shard seam.
-struct ChannelPipe {
-  std::unique_ptr<Queue> queue;
-  std::unique_ptr<ChannelLink> link;
-
-  void append_to(Route& r) const {
-    r.hops.push_back(queue.get());
-    r.hops.push_back(link.get());
-  }
-  void append_to(RouteScratch& r) const {
-    r.push(queue.get());
-    r.push(link.get());
-  }
-};
 
 struct InterDcConfig {
   int k = 8;      // fat-tree arity per DC
@@ -109,8 +94,8 @@ class InterDcTopology : public PathStore::Source {
   InterDcTopology(EventQueue& eq, const InterDcConfig& cfg);
 
   /// Sharded form: one atom per DC (partition atoms are whole DCs, each
-  /// including its border tier — the seam is exactly the cross links, which
-  /// become ChannelLinks between the two queues). A single-element vector is
+  /// including its border tier — the seam is exactly the cross ports, whose
+  /// wires are ChannelLinks between the two queues). A single-element vector is
   /// the monolithic layout; sizes other than 1 or num_dcs are rejected.
   InterDcTopology(const std::vector<TopoAtom>& atoms, const InterDcConfig& cfg);
 
@@ -146,38 +131,33 @@ class InterDcTopology : public PathStore::Source {
   void generate_routes(int src, int dst, std::vector<RouteScratch>& out) override;
 
   /// The edge->host port feeding `host` (the incast bottleneck in Figs 3/4/8).
-  Queue& host_ingress_queue(int host) {
-    return *dcs_[dc_of(host)]->edge_down_for_host(local_id(host)).queue;
-  }
-  Queue& host_egress_queue(int host) {
-    return *dcs_[dc_of(host)]->host_up(local_id(host)).queue;
+  Port& host_ingress_port(int host) {
+    return dcs_[dc_of(host)]->edge_down_for_host(local_id(host));
   }
 
-  /// Directed cross-DC link j from DC `dc` toward DC `peer` (failure
-  /// injection, Fig 13A). The two-argument form assumes the paper's two-DC
-  /// setup and targets the other datacenter. Cross links are ChannelLinks —
-  /// shard-seam endpoints with a Link-compatible control surface.
-  ChannelLink& cross_link(int dc, int peer, int j) { return *cross_pipe(dc, peer, j).link; }
-  Queue& cross_queue(int dc, int peer, int j) { return *cross_pipe(dc, peer, j).queue; }
-  ChannelLink& cross_link(int dc, int j) { return cross_link(dc, dc == 0 ? 1 : 0, j); }
-  Queue& cross_queue(int dc, int j) { return cross_queue(dc, dc == 0 ? 1 : 0, j); }
+  /// Directed cross-DC port j from DC `dc`'s border toward DC `peer`
+  /// (failure injection, Fig 13A): its serializer runs on `dc`'s shard and
+  /// its wire is a ChannelLink across the seam. The two-argument form
+  /// assumes the paper's two-DC setup and targets the other datacenter.
+  Port& cross_port(int dc, int peer, int j) { return border_[cross_index(dc, peer, j)]; }
+  Port& cross_port(int dc, int j) { return cross_port(dc, dc == 0 ? 1 : 0, j); }
   int cross_link_count() const { return cfg_.cross_links; }
 
-  /// WAN-facing links from DC `dc` core `c` toward the border (and back).
-  Link& core_border_link(int dc, int c) { return *core_border_[dc][c].link; }
-  Link& border_core_link(int dc, int c) { return *border_core_[dc][c].link; }
-
-  std::vector<Queue*> all_queues() const;
-  /// Every queue living in DC `d`'s partition atom (fabric + border pipes +
-  /// the DC's outbound cross-link serializers), in deterministic build order.
-  /// Used to register per-shard trace components: atoms own disjoint queue
-  /// sets whose union is all_queues().
-  std::vector<Queue*> atom_queues(int d) const;
+  /// Every port, in deterministic build order: each DC's fabric ports
+  /// (FatTreeDC::all_ports), then core->border, border->core and the cross
+  /// ports. Ports with a local wire all come before the cross ports.
+  std::vector<Port*> all_ports() const;
+  /// Every port living in DC `d`'s partition atom (fabric, border, and the
+  /// DC's outbound cross ports), in deterministic build order. Used to
+  /// register per-shard trace components: atoms own disjoint port sets
+  /// whose union is all_ports().
+  std::vector<Port*> atom_ports(int d) const;
   /// Source-side ports of DC `dc` (uplinks + core->border): the QCN scope.
-  std::vector<Queue*> source_side_queues(int dc) const;
-  std::vector<Link*> all_links() const;
-  /// Every cross-DC ChannelLink, in deterministic build order.
+  std::vector<Port*> source_side_ports(int dc) const;
+  /// Every cross-DC ChannelLink (the cross ports' wires), in build order.
   std::vector<ChannelLink*> all_channels() const;
+  /// The run-wide flow table every host demultiplexes through.
+  FlowTable& flows() { return flows_; }
 
   /// Total packets dropped anywhere in the fabric (conservation checks).
   std::uint64_t total_drops() const;
@@ -185,10 +165,6 @@ class InterDcTopology : public PathStore::Source {
   std::uint64_t total_trims() const;
 
  private:
-  Pipe make_border_pipe(int dc, const std::string& name, Time latency);
-  ChannelPipe make_channel_pipe(int src_dc, int dst_dc, const std::string& name,
-                                Time latency);
-
   /// The atom owning DC `d`'s components (the single shared one in a
   /// monolithic build).
   const TopoAtom& atom(int d) const {
@@ -196,22 +172,27 @@ class InterDcTopology : public PathStore::Source {
   }
   EventQueue& atom_eq(int d) const { return *atom(d).eq; }
 
-  std::vector<TopoAtom> atoms_;
-  InterDcConfig cfg_;
-  std::uint64_t pipe_seq_ = 1000000;  // distinct RNG streams from fat-tree pipes
-  std::uint16_t next_channel_id_ = 0;
-
-  ChannelPipe& cross_pipe(int dc, int peer, int j) {
-    return border_cross_[dc][static_cast<std::size_t>(peer) * cfg_.cross_links + j];
+  // border_ layout: core->border ports [dc][core], border->core ports
+  // [dc][core], then cross ports [dc][peer != dc][link].
+  std::size_t core_border_index(int dc, int c) const {
+    return static_cast<std::size_t>(dc) * num_cores_ + c;
+  }
+  std::size_t border_core_index(int dc, int c) const {
+    return static_cast<std::size_t>(cfg_.num_dcs + dc) * num_cores_ + c;
+  }
+  std::size_t cross_index(int dc, int peer, int j) const {
+    assert(peer != dc);
+    const int rank = peer < dc ? peer : peer - 1;  // no self links
+    return 2ull * cfg_.num_dcs * num_cores_ +
+           (static_cast<std::size_t>(dc) * (cfg_.num_dcs - 1) + rank) * cfg_.cross_links + j;
   }
 
+  std::vector<TopoAtom> atoms_;
+  InterDcConfig cfg_;  // the border port class's QueueConfig lives here
+  FlowTable flows_;    // declared before the hosts that read it
   std::vector<std::unique_ptr<FatTreeDC>> dcs_;
-  // WAN plumbing, indexed by [dc][...]:
-  std::vector<std::vector<Pipe>> core_border_;  // core c -> own border
-  // own border -> border of DC `peer`, link j, laid out peer-major with
-  // empty pipes on the diagonal (no self links).
-  std::vector<std::vector<ChannelPipe>> border_cross_;
-  std::vector<std::vector<Pipe>> border_core_;  // own border -> core c (arrivals side)
+  int num_cores_ = 0;  // per DC
+  ChunkedVec<Port> border_;  // WAN plumbing (layout above)
 
   PathStore path_store_;
 };

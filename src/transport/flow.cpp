@@ -736,15 +736,12 @@ Flow::Flow(EventQueue& snd_eq, EventQueue& rcv_eq, Host& src_host, Host& dst_hos
            SlabPool* snd_pool, SlabPool* rcv_pool)
     : sender_(snd_eq, params, paths, stack, snd_pool),
       receiver_(rcv_eq, sender_, rcv_pool),
-      src_host_(src_host),
-      dst_host_(dst_host) {
-  src_host_.register_flow(params.id, &sender_);
-  dst_host_.register_flow(params.id, &receiver_);
+      flows_(src_host.flows()) {
+  assert(&dst_host.flows() == &flows_ && "both hosts demux through one table");
+  (void)dst_host;
+  flows_.bind(params.id, &sender_, &receiver_);
 }
 
-Flow::~Flow() {
-  src_host_.unregister_flow(sender_.params().id);
-  dst_host_.unregister_flow(sender_.params().id);
-}
+Flow::~Flow() { flows_.unbind(sender_.params().id); }
 
 }  // namespace uno

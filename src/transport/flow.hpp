@@ -328,9 +328,9 @@ class FlowSender final : public PacketSink, public EventHandler {
   TraceContext trace_;
 };
 
-/// One flow's record: matching sender/receiver, registered with their hosts
-/// for the record's lifetime. Immovable (the hosts and event queues hold
-/// its address); Experiment keeps records in chunked storage.
+/// One flow's record: matching sender/receiver, bound in the hosts' flow
+/// table for the record's lifetime. Immovable (the table and event queues
+/// hold its address); Experiment keeps records in chunked storage.
 class Flow {
  public:
   Flow(EventQueue& eq, Host& src_host, Host& dst_host, const FlowParams& params,
@@ -366,8 +366,7 @@ class Flow {
  private:
   FlowSender sender_;  // first: the receiver reads the sender's params
   FlowReceiver receiver_;
-  Host& src_host_;
-  Host& dst_host_;
+  FlowTable& flows_;  // the hosts' demux table, bound for the record's life
 };
 
 }  // namespace uno

@@ -1,7 +1,7 @@
 // A/B byte-identity guard for the event-core + net hot paths.
 //
-// The timing-wheel scheduler (sim/wheel.hpp), batched link delivery
-// (net/link.cpp) and conservative-PDES sharding (sim/shard.hpp) are pure
+// The timing-wheel scheduler (sim/wheel.hpp), batched wire delivery
+// (net/port.cpp) and conservative-PDES sharding (sim/shard.hpp) are pure
 // performance work: they must not perturb the simulation at all. These tests
 // pin two inter-DC scenarios — a scaled-down perm_inter (the BENCH_PERF
 // outlier) and a FEC-lossy WAN incast — to golden numbers, and run each at
@@ -120,7 +120,7 @@ RunDigest run_fec_lossy(int shards) {
   Experiment ex(cfg);
   for (int d = 0; d < 2; ++d)
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-      ex.topo().cross_link(d, j).set_loss_model(
+      ex.topo().cross_port(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(0.01, Rng::stream(31, d * 8 + j)));
   ex.spawn_all(make_incast(HostSpace{16, 2}, 0, 0, 8, 512 * 1024));
   EXPECT_TRUE(ex.run_to_completion(20 * kSecond));

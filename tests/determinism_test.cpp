@@ -35,7 +35,7 @@ std::vector<Time> run_mixed_scenario(std::uint64_t seed) {
   loss.event_rate *= 500;
   for (int d = 0; d < 2; ++d)
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-      ex.topo().cross_link(d, j).set_loss_model(
+      ex.topo().cross_port(d, j).set_loss_model(
           std::make_unique<BurstLoss>(loss, Rng::stream(seed, 70 + d * 8 + j)));
   ex.run_to_completion(2 * kSecond);
   std::vector<Time> fcts;
@@ -71,7 +71,7 @@ std::tuple<Time, std::uint32_t, std::uint64_t> run_verified_lossy(gf256::Kernel 
   Experiment ex(cfg);
   for (int d = 0; d < 2; ++d)
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-      ex.topo().cross_link(d, j).set_loss_model(
+      ex.topo().cross_port(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(0.01, Rng::stream(31, d * 8 + j)));
   FlowSpec spec{2, 16 + 9, 2 << 20, 0, true};
   FlowParams params = ex.flow_params(spec);

@@ -54,7 +54,7 @@ TEST(Edge, ParityHeavyGeometry) {
   Experiment ex(cfg);
   for (int d = 0; d < 2; ++d)
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-      ex.topo().cross_link(d, j).set_loss_model(
+      ex.topo().cross_port(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(0.05, Rng::stream(41, d * 8 + j)));
   FlowSender& f = ex.spawn({0, 16 + 1, 512 << 10, 0, true});
   ASSERT_TRUE(ex.run_to_completion(kSecond));
@@ -77,7 +77,7 @@ TEST(Edge, PathLatencySkewDoesNotCauseSpuriousRetransmits) {
   // Widen one WAN link's latency by 200 us: sprayed packets reorder across
   // paths, but the RACK window (>= base RTT) must absorb the skew.
   Experiment ex(k4_uno());
-  ex.topo().cross_link(0, 2).set_latency(990 * kMicrosecond + 200 * kMicrosecond);
+  ex.topo().cross_port(0, 2).set_latency(990 * kMicrosecond + 200 * kMicrosecond);
   FlowSender& f = ex.spawn({0, 16 + 9, 4 << 20, 0, true});
   ASSERT_TRUE(ex.run_to_completion(200 * kMillisecond));
   EXPECT_EQ(f.retransmits(), 0u);

@@ -1,13 +1,14 @@
 // Fault-injection subsystem tests: plan-grammar parsing and validation,
-// glob/border target resolution, link-down in-flight flushing, flap duty
-// cycles, and transient latency / loss / ECN faults restoring saved state.
+// glob/border target resolution (whole port, wire or queue side), link-down
+// in-flight flushing, flap duty cycles, and transient latency / loss / ECN
+// faults restoring saved state.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "faults/injector.hpp"
 #include "faults/plan.hpp"
-#include "net/link.hpp"
+#include "net/port.hpp"
 #include "net/packet.hpp"
 #include "topo/interdc.hpp"
 
@@ -169,6 +170,66 @@ TEST(FaultInjector, BorderTargetsResolveBothDirections) {
   EXPECT_TRUE(inj.unmatched().empty());
 }
 
+Port& port_named(InterDcTopology& topo, const std::string& name) {
+  for (Port* p : topo.all_ports())
+    if (p->name() == name) return *p;
+  ADD_FAILURE() << "no port " << name;
+  return *topo.all_ports().front();
+}
+
+TEST(FaultInjector, BareNameAddressesTheWholePort) {
+  TopoFixture f;
+  FaultInjector inj(f.eq, *f.topo,
+                    f.plan("1ms down dc0.border.from_core1; 1ms ecn-stuck dc0.border.from_core1;"
+                           "1ms latency dc1.border.cross0.2 factor=2"),
+                    1);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(inj.links_matched(i), 1u) << i;
+    EXPECT_EQ(inj.queues_matched(i), 1u) << i;
+  }
+  Port& p = port_named(*f.topo, "dc0.border.from_core1");
+  Port& cross = f.topo->cross_port(1, 0, 2);
+  const Time wan = cross.latency();
+  f.eq.run_until(2 * kMillisecond);
+  EXPECT_FALSE(p.up());
+  EXPECT_TRUE(p.force_ecn());
+  EXPECT_EQ(cross.latency(), 2 * wan);  // a cross port's wire is its channel
+  EXPECT_EQ(cross.channel()->latency(), 2 * wan);
+  EXPECT_EQ(inj.actions(), 3u);
+}
+
+TEST(FaultInjector, WireSuffixAddressesOnlyTheWire) {
+  TopoFixture f;
+  // Every core->border port of both DCs (k=4: 4 cores per DC).
+  FaultInjector inj(f.eq, *f.topo,
+                    f.plan("1ms down *.from_core*.l; 1ms ecn-stuck *.from_core*.l"), 1);
+  EXPECT_EQ(inj.links_matched(0), 8u);
+  EXPECT_EQ(inj.queues_matched(0), 0u);
+  EXPECT_EQ(inj.links_matched(1), 8u);
+  EXPECT_EQ(inj.queues_matched(1), 0u);
+  EXPECT_TRUE(inj.unmatched().empty());
+  f.eq.run_until(2 * kMillisecond);
+  Port& p = port_named(*f.topo, "dc1.border.from_core3");
+  EXPECT_FALSE(p.up());
+  EXPECT_FALSE(p.force_ecn());  // no queue side was addressed
+  EXPECT_EQ(inj.actions(), 8u);
+}
+
+TEST(FaultInjector, QueueSuffixAddressesOnlyTheQueueSide) {
+  TopoFixture f;
+  FaultInjector inj(f.eq, *f.topo,
+                    f.plan("1ms ecn-stuck *.from_core*.q; 1ms down *.from_core*.q"), 1);
+  EXPECT_EQ(inj.links_matched(0), 0u);
+  EXPECT_EQ(inj.queues_matched(0), 8u);
+  EXPECT_EQ(inj.links_matched(1), 0u);
+  EXPECT_EQ(inj.queues_matched(1), 8u);
+  f.eq.run_until(2 * kMillisecond);
+  Port& p = port_named(*f.topo, "dc0.border.from_core0");
+  EXPECT_TRUE(p.force_ecn());
+  EXPECT_TRUE(p.up());  // a down fault acts on wires only
+  EXPECT_EQ(inj.actions(), 8u);
+}
+
 TEST(FaultInjector, UnmatchedTargetsAreReported) {
   TopoFixture f;
   FaultInjector inj(f.eq, *f.topo, f.plan("0us down dc7.nonexistent.*"), 1);
@@ -180,8 +241,8 @@ TEST(FaultInjector, UnmatchedTargetsAreReported) {
 TEST(FaultInjector, DownUpTimeline) {
   TopoFixture f;
   FaultInjector inj(f.eq, *f.topo, f.plan("1ms down border:0; 3ms up border:0"), 1);
-  auto& fwd = f.topo->cross_link(0, 0);
-  auto& rev = f.topo->cross_link(1, 0);
+  auto& fwd = f.topo->cross_port(0, 0);
+  auto& rev = f.topo->cross_port(1, 0);
   EXPECT_TRUE(fwd.up() && rev.up());
   f.eq.run_until(2 * kMillisecond);
   EXPECT_FALSE(fwd.up());
@@ -196,9 +257,9 @@ TEST(FaultInjector, DownWithUntilAutoRepairs) {
   TopoFixture f;
   FaultInjector inj(f.eq, *f.topo, f.plan("1ms down border:0 until=2ms"), 1);
   f.eq.run_until(1500 * kMicrosecond);
-  EXPECT_FALSE(f.topo->cross_link(0, 0).up());
+  EXPECT_FALSE(f.topo->cross_port(0, 0).up());
   f.eq.run_until(3 * kMillisecond);
-  EXPECT_TRUE(f.topo->cross_link(0, 0).up());
+  EXPECT_TRUE(f.topo->cross_port(0, 0).up());
   EXPECT_EQ(inj.actions(), 4u);
 }
 
@@ -207,7 +268,7 @@ TEST(FaultInjector, FlapFollowsDutyCycle) {
   // 1 ms period, 25% duty: down for 250 us, up for 750 us, from t=1ms to 4ms.
   FaultInjector inj(f.eq, *f.topo,
                     f.plan("1ms flap border:0 period=1ms duty=0.25 until=4ms"), 1);
-  auto& l = f.topo->cross_link(0, 0);
+  auto& l = f.topo->cross_port(0, 0);
   auto probe = [&](Time t) {
     f.eq.run_until(t);
     return l.up();
@@ -224,7 +285,7 @@ TEST(FaultInjector, FlapFollowsDutyCycle) {
 
 TEST(FaultInjector, LatencyInflationRestores) {
   TopoFixture f;
-  auto& l = f.topo->cross_link(0, 0);
+  auto& l = f.topo->cross_port(0, 0);
   const Time base = l.latency();
   FaultInjector inj(f.eq, *f.topo,
                     f.plan("1ms latency border:0 factor=3 add=5us until=2ms"), 1);
@@ -237,7 +298,7 @@ TEST(FaultInjector, LatencyInflationRestores) {
 
 TEST(FaultInjector, LossSpikeSwapsAndRestoresModel) {
   TopoFixture f;
-  auto& l = f.topo->cross_link(0, 0);
+  auto& l = f.topo->cross_port(0, 0);
   auto original = std::make_unique<BernoulliLoss>(0.0, Rng(1));
   const LossModel* original_ptr = original.get();
   l.set_loss_model(std::move(original));
@@ -252,7 +313,7 @@ TEST(FaultInjector, LossSpikeSwapsAndRestoresModel) {
 
 TEST(FaultInjector, EcnStuckSetsAndClearsForceMark) {
   TopoFixture f;
-  Queue& q = f.topo->cross_queue(0, 0);
+  Port& q = f.topo->cross_port(0, 0);
   EXPECT_FALSE(q.force_ecn());
   FaultInjector inj(f.eq, *f.topo, f.plan("1ms ecn-stuck border:0 until=2ms"), 1);
   f.eq.run_until(1500 * kMicrosecond);
@@ -273,10 +334,11 @@ struct CaptureSink final : PacketSink {
 
 TEST(LinkDown, FlushesInFlightAndCountsDrops) {
   EventQueue eq;
-  Link link(eq, "wire", 10 * kMicrosecond);
+  QueueConfig cfg;
+  Port port(eq, "wire", cfg, 10 * kMicrosecond);
   CaptureSink sink;
   Route route;
-  route.hops = {&link, &sink};
+  route.hops = {&port, &sink};
 
   auto send = [&] {
     Packet p = make_data_packet(1, 0, 4096);
@@ -286,26 +348,31 @@ TEST(LinkDown, FlushesInFlightAndCountsDrops) {
 
   send();
   send();
-  EXPECT_EQ(link.dropped(), 0u);
+  eq.run_until(kMicrosecond);  // both serialized, both propagating
+  EXPECT_EQ(port.in_flight(), 2u);
+  EXPECT_EQ(port.wire_drops(), 0u);
   // Sever the wire while both packets are propagating: they are flushed,
   // counted as drops, and the stale delivery event is a no-op.
-  link.set_up(false);
-  EXPECT_EQ(link.dropped(), 2u);
+  port.set_up(false);
+  EXPECT_EQ(port.wire_drops(), 2u);
+  EXPECT_EQ(port.in_flight(), 0u);
   eq.run_all();
   EXPECT_EQ(sink.received, 0);
-  EXPECT_EQ(link.delivered(), 0u);
+  EXPECT_EQ(port.delivered(), 0u);
 
-  // Ingress while down also drops.
+  // Ingress while down also drops, once the packet is serialized.
   send();
-  EXPECT_EQ(link.dropped(), 3u);
+  eq.run_all();
+  EXPECT_EQ(port.wire_drops(), 3u);
 
-  // After repair the link delivers normally again.
-  link.set_up(true);
+  // After repair the wire delivers normally again.
+  port.set_up(true);
   send();
   eq.run_all();
   EXPECT_EQ(sink.received, 1);
-  EXPECT_EQ(link.delivered(), 1u);
-  EXPECT_EQ(link.dropped(), 3u);
+  EXPECT_EQ(port.delivered(), 1u);
+  EXPECT_EQ(port.wire_drops(), 3u);
+  EXPECT_EQ(port.drops(), 0u);
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ TEST(Integration, PhantomQueuesKeepPhysicalQueueNearZero) {
     auto specs = make_incast(hosts_for(), 0, 0, 6, 200 << 20);
     ex.spawn_all(specs);
     QueueSampler qs(ex.eq(), 100 * kMicrosecond);
-    qs.watch(&ex.topo().host_ingress_queue(0));
+    qs.watch(&ex.topo().host_ingress_port(0));
     qs.start();
     ex.run_until(40 * kMillisecond);
     const std::size_t skip = qs.physical(0).size();
@@ -119,7 +119,7 @@ TEST(Integration, EcMasksBurstyWanLoss) {
       p.p_good_to_bad = 8e-3;        // ~1.3% packet loss in ~3-packet bursts
       p.p_bad_to_good = 0.3;
       p.loss_bad = 0.5;
-      ex.topo().cross_link(0, j).set_loss_model(
+      ex.topo().cross_port(0, j).set_loss_model(
           std::make_unique<GilbertElliottLoss>(p, Rng::stream(17, j)));
     }
     FlowSender& snd = ex.spawn({1, 16 + 1, 16 << 20, 0, true});
@@ -140,7 +140,7 @@ TEST(Integration, UnoLbRoutesAroundFailedCrossLink) {
   Experiment ex(cfg_for(SchemeSpec::uno()));
   FlowSender& snd = ex.spawn({2, 16 + 5, 16 << 20, 0, true});
   ex.run_until(kMillisecond);
-  ex.topo().cross_link(0, 3).set_up(false);  // fail one of 8 WAN links
+  ex.topo().cross_port(0, 3).set_up(false);  // fail one of 8 WAN links
   ASSERT_TRUE(ex.run_to_completion(kSecond));
   EXPECT_TRUE(snd.done());
   // The failed link's subflow was evicted (or never used): no subflow may

@@ -1,13 +1,13 @@
-// Tests for packets, links, queues, RED/phantom marking and loss models.
+// Tests for packets, ports (serializer + wire), RED/phantom marking, host
+// demux and loss models.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "net/host.hpp"
-#include "net/link.hpp"
 #include "net/loss.hpp"
 #include "net/packet.hpp"
-#include "net/queue.hpp"
+#include "net/port.hpp"
 #include "sim/event.hpp"
 
 namespace uno {
@@ -41,23 +41,30 @@ Packet data_on(const Route& r, std::uint32_t size = 4096, std::uint64_t seq = 0)
   return p;
 }
 
+/// A 4096 B packet's serialization at the default 100 Gbps.
+constexpr Time kSer4k = 327'680;
+
 TEST(Link, DelaysByLatency) {
+  // A port's wire delays each packet by its latency after serialization.
   EventQueue eq;
   SinkRecorder sink(eq);
-  Link link(eq, "l", 5 * kMicrosecond);
-  Route r = make_route({&link, &sink});
+  QueueConfig cfg;
+  Port port(eq, "p", cfg, 5 * kMicrosecond);
+  Route r = make_route({&port, &sink});
   forward(data_on(r));
   eq.run_all();
   ASSERT_EQ(sink.arrivals.size(), 1u);
-  EXPECT_EQ(sink.arrivals[0].first, 5 * kMicrosecond);
-  EXPECT_EQ(link.delivered(), 1u);
+  EXPECT_EQ(sink.arrivals[0].first, kSer4k + 5 * kMicrosecond);
+  EXPECT_EQ(port.delivered(), 1u);
+  EXPECT_EQ(port.latency(), 5 * kMicrosecond);
 }
 
 TEST(Link, PreservesFifoOrder) {
   EventQueue eq;
   SinkRecorder sink(eq);
-  Link link(eq, "l", kMicrosecond);
-  Route r = make_route({&link, &sink});
+  QueueConfig cfg;
+  Port port(eq, "p", cfg, kMicrosecond);
+  Route r = make_route({&port, &sink});
   struct Feeder : EventHandler {
     Route* r;
     void on_event(std::uint64_t tag) override {
@@ -74,16 +81,22 @@ TEST(Link, PreservesFifoOrder) {
 }
 
 TEST(Link, DownLinkDropsEverything) {
+  // A down wire drops what the serializer sends it; the queue side still
+  // serializes and counts it as forwarded.
   EventQueue eq;
   SinkRecorder sink(eq);
-  Link link(eq, "l", kMicrosecond);
-  Route r = make_route({&link, &sink});
-  link.set_up(false);
+  QueueConfig cfg;
+  Port port(eq, "p", cfg, kMicrosecond);
+  Route r = make_route({&port, &sink});
+  port.set_up(false);
+  EXPECT_FALSE(port.up());
   forward(data_on(r));
   eq.run_all();
   EXPECT_TRUE(sink.arrivals.empty());
-  EXPECT_EQ(link.dropped(), 1u);
-  link.set_up(true);
+  EXPECT_EQ(port.wire_drops(), 1u);
+  EXPECT_EQ(port.drops(), 0u);
+  EXPECT_EQ(port.forwarded(), 1u);
+  port.set_up(true);
   forward(data_on(r));
   eq.run_all();
   EXPECT_EQ(sink.arrivals.size(), 1u);
@@ -92,12 +105,16 @@ TEST(Link, DownLinkDropsEverything) {
 TEST(Link, BernoulliLossDropsExpectedFraction) {
   EventQueue eq;
   SinkRecorder sink(eq);
-  Link link(eq, "l", 1);
-  Route r = make_route({&link, &sink});
-  link.set_loss_model(std::make_unique<BernoulliLoss>(0.3, Rng(5)));
+  QueueConfig cfg;
+  cfg.capacity_bytes = 1ll << 30;  // the whole burst fits; only the wire drops
+  Port port(eq, "p", cfg, 1);
+  Route r = make_route({&port, &sink});
+  port.set_loss_model(std::make_unique<BernoulliLoss>(0.3, Rng(5)));
   for (int i = 0; i < 10000; ++i) forward(data_on(r));
   eq.run_all();
-  EXPECT_NEAR(static_cast<double>(link.dropped()) / 10000.0, 0.3, 0.03);
+  EXPECT_EQ(port.drops(), 0u);
+  EXPECT_NEAR(static_cast<double>(port.wire_drops()) / 10000.0, 0.3, 0.03);
+  EXPECT_EQ(sink.arrivals.size() + port.wire_drops(), 10000u);
 }
 
 TEST(Queue, SerializesAtLineRate) {
@@ -105,7 +122,7 @@ TEST(Queue, SerializesAtLineRate) {
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.rate = 100 * kGbps;
-  Queue q(eq, "q", cfg);
+  Port q(eq, "q", cfg, 0);
   Route r = make_route({&q, &sink});
   // Two 4096 B packets back to back: 327.68 ns each.
   forward(data_on(r, 4096, 0));
@@ -123,7 +140,7 @@ TEST(Queue, TailDropsWhenFull) {
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.capacity_bytes = 10'000;
-  Queue q(eq, "q", cfg);
+  Port q(eq, "q", cfg, 0);
   Route r = make_route({&q, &sink});
   for (int i = 0; i < 5; ++i) forward(data_on(r, 4096, i));  // 3rd..5th exceed
   EXPECT_EQ(q.drops(), 3u);
@@ -141,7 +158,7 @@ TEST(Queue, RedMarksAboveMaxThreshold) {
   cfg.red.enabled = true;
   cfg.red.min_bytes = 25'000;
   cfg.red.max_bytes = 75'000;
-  Queue q(eq, "q", cfg);
+  Port q(eq, "q", cfg, 0);
   Route r = make_route({&q, &sink});
   int marked = 0;
   for (int i = 0; i < 24; ++i) forward(data_on(r, 4096, i));  // up to ~98 KB
@@ -162,7 +179,7 @@ TEST(Queue, NotEcnCapablePacketsNeverMarked) {
   cfg.red.enabled = true;
   cfg.red.min_bytes = 0;  // mark everything markable
   cfg.red.max_bytes = 1;
-  Queue q(eq, "q", cfg);
+  Port q(eq, "q", cfg, 0);
   Route r = make_route({&q, &sink});
   Packet p = data_on(r);
   p.ecn_capable = false;
@@ -182,7 +199,7 @@ TEST(Queue, PhantomDrainsSlowerThanLineRate) {
   cfg.phantom.red.enabled = true;
   cfg.phantom.red.min_bytes = 1 << 20;  // no marking in this test
   cfg.phantom.red.max_bytes = 2 << 20;
-  Queue q(eq, "q", cfg);
+  Port q(eq, "q", cfg, 0);
   Route r = make_route({&q, &sink});
   // Send 100 packets back-to-back at line rate: physical queue drains fully,
   // phantom retains ~10% of the bytes.
@@ -209,7 +226,7 @@ TEST(Queue, PhantomMarkingIndependentOfPhysicalOccupancy) {
   cfg.phantom.red.enabled = true;
   cfg.phantom.red.min_bytes = 8'192;
   cfg.phantom.red.max_bytes = 16'384;
-  Queue q(eq, "q", cfg);
+  Port q(eq, "q", cfg, 0);
   Route r = make_route({&q, &sink});
   for (int i = 0; i < 50; ++i) forward(data_on(r, 4096, i));
   eq.run_all();
@@ -220,29 +237,43 @@ TEST(Queue, PhantomMarkingIndependentOfPhysicalOccupancy) {
 }
 
 TEST(Host, DemuxesByFlowId) {
+  // Hosts share one flow table: data goes to a flow's receiver, every
+  // control packet to its sender, and unknown or unbound flows are stray.
   EventQueue eq;
-  Host host(0, 0, "h0");
-  SinkRecorder a(eq), b(eq);
-  host.register_flow(1, &a);
-  host.register_flow(2, &b);
-  Route r = make_route({&host});
-  Packet p1 = make_data_packet(1, 0, 100);
-  p1.route = &r;
-  Packet p2 = make_data_packet(2, 0, 100);
-  p2.route = &r;
-  Packet p3 = make_data_packet(3, 0, 100);  // unknown flow
-  p3.route = &r;
-  forward(std::move(p1));
-  forward(std::move(p2));
-  forward(std::move(p3));
-  EXPECT_EQ(a.arrivals.size(), 1u);
-  EXPECT_EQ(b.arrivals.size(), 1u);
-  EXPECT_EQ(host.stray_packets(), 1u);
-  host.unregister_flow(1);
-  Packet p4 = make_data_packet(1, 1, 100);
-  p4.route = &r;
-  forward(std::move(p4));
-  EXPECT_EQ(host.stray_packets(), 2u);
+  FlowTable flows;
+  Host h0(0, 0, "h0", flows), h1(1, 0, "h1", flows);
+  SinkRecorder snd1(eq), rcv1(eq), snd2(eq), rcv2(eq);
+  flows.bind(1, &snd1, &rcv1);
+  flows.bind(2, &snd2, &rcv2);
+  flows.bind(9000, &snd2, &rcv2);  // far beyond the first chunk
+  Route to_h1 = make_route({&h1});
+  Route to_h0 = make_route({&h0});
+  auto send = [](Route& r, std::uint64_t flow, PacketType type) {
+    Packet p = make_data_packet(flow, 0, 100);
+    p.type = type;
+    p.route = &r;
+    forward(std::move(p));
+  };
+  send(to_h1, 1, PacketType::kData);
+  send(to_h1, 2, PacketType::kData);
+  send(to_h1, 9000, PacketType::kData);
+  for (PacketType t : {PacketType::kAck, PacketType::kNack, PacketType::kTrimNack,
+                       PacketType::kQcn})
+    send(to_h0, 1, t);
+  send(to_h1, 3, PacketType::kData);  // unknown flow
+  send(to_h0, 0, PacketType::kAck);   // no flow has id 0
+  EXPECT_EQ(rcv1.arrivals.size(), 1u);
+  EXPECT_EQ(rcv2.arrivals.size(), 2u);
+  EXPECT_EQ(snd1.arrivals.size(), 4u);
+  EXPECT_TRUE(snd2.arrivals.empty());
+  EXPECT_EQ(h1.stray_packets(), 1u);
+  EXPECT_EQ(h0.stray_packets(), 1u);
+  flows.unbind(1);
+  send(to_h1, 1, PacketType::kData);
+  send(to_h0, 1, PacketType::kAck);
+  EXPECT_EQ(h1.stray_packets(), 2u);
+  EXPECT_EQ(h0.stray_packets(), 2u);
+  EXPECT_EQ(rcv1.arrivals.size(), 1u);
 }
 
 TEST(Packet, AckEchoesEcnAndTimestamps) {

@@ -1,9 +1,12 @@
-// Fabric packets in per-shard pools: every packet waiting in a queue lane or
-// propagating on a link holds exactly one block of its shard's packet pool
-// (net/packet.hpp park_packet). The block travels with the packet from hop
-// to hop and is released when the packet leaves the fabric (at a host or a
-// cross-shard channel), when a port drops it, when a severed link flushes,
-// or when the port holding it is destroyed.
+// Fabric packets in per-shard pools: every packet waiting in a port's queue
+// lanes or propagating on its wire holds exactly one block of its shard's
+// packet pool (net/packet.hpp park_packet). The block travels with the packet
+// from hop to hop and is released when the packet leaves the fabric (at a
+// host or a cross-shard channel), when a port drops it, when a severed wire
+// flushes, or when the port holding it is destroyed.
+//
+// Also here: the reference-model test of one Port (serializer + wire)
+// against a deque-based two-stage model.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -13,7 +16,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "net/queue.hpp"
+#include "net/port.hpp"
 #include "obs/metrics.hpp"
 #include "workload/scenario.hpp"
 
@@ -21,11 +24,10 @@ namespace uno {
 namespace {
 
 /// Packets parked in the fabric's ports right now: both queue lanes of every
-/// port plus every link's in-flight ring.
+/// port plus every local wire's in-flight ring.
 std::size_t resident_packets(InterDcTopology& topo) {
   std::size_t n = 0;
-  for (const Queue* q : topo.all_queues()) n += q->queued();
-  for (const Link* l : topo.all_links()) n += l->in_flight();
+  for (const Port* p : topo.all_ports()) n += p->queued() + p->in_flight();
   return n;
 }
 
@@ -57,8 +59,8 @@ int run_balanced(Experiment& ex, Scenario& sc) {
 }
 
 TEST(PacketPool, ResidentPacketsBalance) {
-  // A permutation with trimming on, while the WAN-facing core->border links
-  // flap: each down edge flushes a Link's in-flight ring.
+  // A permutation with trimming on, while the wires of the WAN-facing
+  // core->border ports flap: each down edge flushes a wire's in-flight ring.
   ExperimentConfig cfg;
   cfg.seed = 3;
   cfg.fattree_k = 4;
@@ -81,8 +83,8 @@ TEST(PacketPool, ResidentPacketsBalance) {
   ASSERT_NE(ex.fault_injector(), nullptr);
   EXPECT_GT(ex.fault_injector()->actions(), 0u);
   std::uint64_t flushed = 0;
-  for (const Link* l : ex.topo().all_links()) flushed += l->dropped();
-  EXPECT_GT(flushed, 0u) << "the flap must drop packets at down links";
+  for (const Port* p : ex.topo().all_ports()) flushed += p->wire_drops();
+  EXPECT_GT(flushed, 0u) << "the flap must drop packets at down wires";
   EXPECT_GT(ex.topo().total_trims(), 0u);
 }
 
@@ -152,9 +154,9 @@ TEST(PacketPool, HandoffAcrossPools) {
   EventQueue eq;
   SlabPool a, b;
   QueueConfig cfg;
-  Queue qa(eq, "qa", cfg, Rng(7), &a);
-  Link heap_link(eq, "l", kMicrosecond);
-  Queue qb(eq, "qb", cfg, Rng(8), &b);
+  Port pa(eq, "pa", cfg, kMicrosecond, Rng(7), &a);
+  Port heap_port(eq, "heap", cfg, kMicrosecond);
+  Port pb(eq, "pb", cfg, kMicrosecond, Rng(8), &b);
   struct Count final : PacketSink {
     void receive(Packet&&) override { ++n; }
     const std::string& name() const override { return name_; }
@@ -162,7 +164,7 @@ TEST(PacketPool, HandoffAcrossPools) {
     std::string name_ = "count";
   } sink;
   Route r;
-  r.hops = {&qa, &heap_link, &qb, &sink};
+  r.hops = {&pa, &heap_port, &pb, &sink};
   for (std::uint64_t i = 0; i < 20; ++i) {
     Packet p = make_data_packet(1, i, 1000);
     p.route = &r;
@@ -176,7 +178,7 @@ TEST(PacketPool, HandoffAcrossPools) {
   EXPECT_EQ(b.acquires(), 20u);
 }
 
-/// Terminal sink recording what a queue forwards.
+/// Terminal sink recording what a port delivers.
 class Recorder final : public PacketSink {
  public:
   explicit Recorder(EventQueue& eq) : eq_(eq) {}
@@ -203,7 +205,7 @@ struct Arrival {
   std::uint32_t size;
 };
 
-/// Hands arrival i to the queue when its event fires.
+/// Hands arrival i to the port when its event fires.
 class Feeder final : public EventHandler {
  public:
   Feeder(const std::vector<Arrival>& arrivals, const Route& route)
@@ -221,19 +223,51 @@ class Feeder final : public EventHandler {
   const Route& route_;
 };
 
-/// Reference port on std::deque: a data lane and a strict-priority control
-/// lane, byte-capacity admission, NDP trimming into the control lane, and a
-/// serializer that commits to a lane's head until it has been sent. Events
-/// at one instant run in scheduling order, so every arrival (all scheduled
-/// up front) precedes a service completion due at the same time.
-struct ModelPort {
+/// A wire fault: down, up, or a new latency.
+struct WireAction {
+  enum Kind { kDown, kUp, kLatency } kind;
+  Time at;
+  Time latency = 0;
+};
+
+class Controller final : public EventHandler {
+ public:
+  Controller(const std::vector<WireAction>& actions, Port& port)
+      : actions_(actions), port_(port) {}
+  void on_event(std::uint64_t i) override {
+    const WireAction& a = actions_[i];
+    if (a.kind == WireAction::kLatency)
+      port_.set_latency(a.latency);
+    else
+      port_.set_up(a.kind == WireAction::kUp);
+  }
+
+ private:
+  const std::vector<WireAction>& actions_;
+  Port& port_;
+};
+
+/// Reference port on std::deque, in two stages. The serializer: a data lane
+/// and a strict-priority control lane, byte-capacity admission, NDP
+/// trimming into the control lane, and a commitment to a lane's head until
+/// it has been sent. The wire: a FIFO where packet i leaves at
+/// max(sent_i + latency, exit of packet i-1); a down wire drops what it is
+/// sent and loses what it carries. Arrivals and wire actions are all
+/// scheduled up front, so at one instant they precede every service
+/// completion and wire exit; the test keeps action times off the instants
+/// packets move at.
+struct TwoStageModel {
   QueueConfig cfg;
+  Time latency = 0;
+  bool up = true;
   std::deque<Recorder::Out> data, ctrl;
   std::int64_t occ = 0, ctrl_occ = 0;
   bool busy = false, serving_ctrl = false;
   Time done = 0;
-  std::vector<Recorder::Out> forwarded;
-  std::vector<std::uint64_t> dropped;
+  std::deque<Recorder::Out> wire;  // .at = exit time
+  std::vector<Recorder::Out> delivered;
+  std::uint64_t queue_drops = 0, wire_drops = 0, served = 0, trims = 0;
+  std::uint64_t overdue = 0;  // packets that left after their due time
 
   void start(Time now) {
     busy = true;
@@ -241,18 +275,26 @@ struct ModelPort {
     const Recorder::Out& head = serving_ctrl ? ctrl.front() : data.front();
     done = now + serialization_time(head.size, cfg.rate);
   }
+  /// Deliver every wire packet leaving before `t`.
+  void drain_wire(Time t) {
+    while (!wire.empty() && wire.front().at < t) {
+      delivered.push_back(wire.front());
+      wire.pop_front();
+    }
+  }
   void arrive(Time now, std::uint64_t seq, const Arrival& a) {
     Recorder::Out p{0, seq, a.size, false};
     if (!a.data || occ + a.size > cfg.capacity_bytes) {
       if (a.data) {  // overflowing data: trim if the control lane has room
         if (!cfg.trim || ctrl_occ + kTrimSize > cfg.control_capacity_bytes) {
-          dropped.push_back(seq);
+          ++queue_drops;
           return;
         }
         p.size = kTrimSize;
         p.trimmed = true;
+        ++trims;
       } else if (ctrl_occ + p.size > cfg.control_capacity_bytes) {
-        dropped.push_back(seq);
+        ++queue_drops;
         return;
       }
       ctrl_occ += p.size;
@@ -263,24 +305,46 @@ struct ModelPort {
     }
     if (!busy) start(now);
   }
+  void act(const WireAction& a) {
+    drain_wire(a.at);
+    if (a.kind == WireAction::kLatency) {
+      latency = a.latency;
+    } else if (a.kind == WireAction::kDown) {
+      if (up) wire_drops += wire.size();
+      wire.clear();
+      up = false;
+    } else {
+      up = true;
+    }
+  }
   void complete() {
     std::deque<Recorder::Out>& lane = serving_ctrl ? ctrl : data;
     Recorder::Out p = lane.front();
     lane.pop_front();
     (serving_ctrl ? ctrl_occ : occ) -= p.size;
-    p.at = done;
-    forwarded.push_back(p);
+    ++served;
     busy = false;
-    if (!data.empty() || !ctrl.empty()) start(done);
+    const Time now = done;
+    if (!data.empty() || !ctrl.empty()) start(now);
+    if (!up) {
+      ++wire_drops;
+      return;
+    }
+    p.at = now + latency;
+    if (!wire.empty() && wire.back().at > p.at) {
+      p.at = wire.back().at;
+      ++overdue;
+    }
+    wire.push_back(p);
   }
 };
 
-TEST(PacketPool, QueueMatchesDequeModel) {
+TEST(Port, MatchesTwoStageModel) {
   QueueConfig cfg;
   cfg.capacity_bytes = 24'000;
   cfg.control_capacity_bytes = 640;
   cfg.trim = true;
-  for (std::uint32_t seed : {1u, 2u, 3u}) {
+  for (std::uint32_t seed : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     std::mt19937 rng(seed);
     std::vector<Arrival> arrivals;
@@ -298,44 +362,75 @@ TEST(PacketPool, QueueMatchesDequeModel) {
       const auto size = static_cast<std::uint32_t>(data ? 64 + rng() % 4033 : kAckSize);
       arrivals.push_back({t, data, size});
     }
+    // Packets move on a 40 ps grid (ns arrivals, 80 ps/byte serialization,
+    // latencies below); actions land 7 ps off it, so no action ties with a
+    // packet. Two down/up cycles, then the latency falls mid-run, so heads
+    // sent before the change are overtaken in time by those sent after and
+    // leave late, in FIFO order.
+    const Time span = t;
+    auto at = [span](double frac) {
+      return static_cast<Time>(frac * static_cast<double>(span)) / 40 * 40 + 7;
+    };
+    const Time slow = 20 * kMicrosecond, fast = 2 * kMicrosecond;
+    const std::vector<WireAction> actions = {
+        {WireAction::kDown, at(0.15)}, {WireAction::kUp, at(0.2)},
+        {WireAction::kDown, at(0.4)},  {WireAction::kUp, at(0.41)},
+        {WireAction::kLatency, at(0.6), fast},
+    };
 
     EventQueue eq;
     SlabPool pool;
     Recorder sink(eq);
-    std::vector<std::uint64_t> drops;
     {
-      Queue q(eq, "q", cfg, Rng(7), &pool);
-      q.set_drop_hook([&drops](const Packet& p) { drops.push_back(p.seq); });
+      Port port(eq, "p", cfg, slow, Rng(7), &pool);
       Route route;
-      route.hops = {&q, &sink};
+      route.hops = {&port, &sink};
       Feeder feeder(arrivals, route);
+      Controller controller(actions, port);
       for (std::size_t i = 0; i < arrivals.size(); ++i)
         eq.schedule_at(arrivals[i].at, &feeder, i);
+      for (std::size_t i = 0; i < actions.size(); ++i)
+        eq.schedule_at(actions[i].at, &controller, i);
       eq.run_all();
-      EXPECT_EQ(q.queued(), 0u);
-      EXPECT_EQ(q.forwarded(), sink.got.size());
-      EXPECT_EQ(q.drops(), drops.size());
+      EXPECT_EQ(port.queued(), 0u);
+      EXPECT_EQ(port.in_flight(), 0u);
+      EXPECT_EQ(port.delivered(), sink.got.size());
+
+      TwoStageModel m;
+      m.cfg = cfg;
+      m.latency = slow;
+      std::size_t i = 0, j = 0;
+      for (;;) {
+        // The earliest of: the next arrival, the next action, and (strictly
+        // earlier only) the serializer's completion.
+        const Time next_in = std::min(i < arrivals.size() ? arrivals[i].at : kTimeInfinity,
+                                      j < actions.size() ? actions[j].at : kTimeInfinity);
+        if (m.busy && m.done < next_in) {
+          m.complete();
+        } else if (next_in == kTimeInfinity) {
+          break;
+        } else if (i < arrivals.size() && arrivals[i].at == next_in) {
+          m.arrive(arrivals[i].at, i, arrivals[i]);
+          ++i;
+        } else {
+          m.act(actions[j++]);
+        }
+      }
+      m.drain_wire(kTimeInfinity);
+
+      std::size_t trimmed = 0;
+      for (const Recorder::Out& o : m.delivered) trimmed += o.trimmed;
+      EXPECT_GT(trimmed, 0u);
+      EXPECT_GT(m.queue_drops, 0u);
+      EXPECT_GT(m.wire_drops, 0u);
+      EXPECT_GT(m.overdue, 0u);
+      EXPECT_EQ(sink.got, m.delivered);
+      EXPECT_EQ(port.drops(), m.queue_drops);
+      EXPECT_EQ(port.trims(), m.trims);
+      EXPECT_EQ(port.wire_drops(), m.wire_drops);
+      EXPECT_EQ(port.forwarded(), m.served);
     }
     EXPECT_EQ(pool.live_bytes(), 0u);
-
-    ModelPort m;
-    m.cfg = cfg;
-    for (std::size_t i = 0; i < arrivals.size();) {
-      if (m.busy && m.done < arrivals[i].at) {
-        m.complete();
-      } else {
-        m.arrive(arrivals[i].at, i, arrivals[i]);
-        ++i;
-      }
-    }
-    while (m.busy) m.complete();
-
-    std::size_t trims = 0;
-    for (const Recorder::Out& o : m.forwarded) trims += o.trimmed;
-    EXPECT_GT(trims, 0u);
-    EXPECT_GT(m.dropped.size(), 0u);
-    EXPECT_EQ(sink.got, m.forwarded);
-    EXPECT_EQ(drops, m.dropped);
   }
 }
 

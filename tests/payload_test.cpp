@@ -212,7 +212,7 @@ TEST(Payload, LossyWanTransferStillVerifies) {
   Experiment ex(cfg_with_uno());
   for (int d = 0; d < 2; ++d)
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-      ex.topo().cross_link(d, j).set_loss_model(
+      ex.topo().cross_port(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(0.01, Rng::stream(21, d * 8 + j)));
   VerifiedFlow v = spawn_verified(ex, {1, 16 + 6, 2 << 20, 0, true});
   ex.run_until(kSecond);

@@ -46,13 +46,13 @@ TEST_P(RandomScenarioTest, InvariantsHold) {
   // §5.2.3 — the paper excludes ECMP from its failure experiments too).
   const bool ecmp_pinned = cfg.scheme.lb_inter == LbKind::kEcmp;
   const int dead_links = ecmp_pinned ? 0 : static_cast<int>(rng.uniform_below(3));
-  for (int j = 0; j < dead_links; ++j) ex.topo().cross_link(0, j).set_up(false);
+  for (int j = 0; j < dead_links; ++j) ex.topo().cross_port(0, j).set_up(false);
   if (rng.chance(0.5)) {
     BurstLoss::Params loss = BurstLoss::table1_setup1();
     loss.event_rate *= 100;
     for (int d = 0; d < 2; ++d)
       for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-        ex.topo().cross_link(d, j).set_loss_model(
+        ex.topo().cross_port(d, j).set_loss_model(
             std::make_unique<BurstLoss>(loss, Rng::stream(cfg.seed, 50 + d * 8 + j)));
   }
 

@@ -8,7 +8,7 @@
 
 #include "core/experiment.hpp"
 #include "net/loss.hpp"
-#include "net/queue.hpp"
+#include "net/port.hpp"
 #include "stats/resilience.hpp"
 #include "transport/unocc.hpp"
 
@@ -41,7 +41,7 @@ TEST(Trimming, OverflowTrimsInsteadOfDropping) {
   QueueConfig cfg;
   cfg.capacity_bytes = 10'000;  // fits two 4 KiB packets
   cfg.trim = true;
-  Queue q(eq, "q", cfg);
+  Port q(eq, "q", cfg, 0);
   Route r;
   r.hops = {&q, &sink};
   for (int i = 0; i < 5; ++i) forward(data_on(r, 4096, i));
@@ -67,7 +67,7 @@ TEST(Trimming, TrimmedHeadersOvertakeQueuedData) {
   QueueConfig cfg;
   cfg.capacity_bytes = 4096 * 4;
   cfg.trim = true;
-  Queue q(eq, "q", cfg);
+  Port q(eq, "q", cfg, 0);
   Route r;
   r.hops = {&q, &sink};
   for (int i = 0; i < 5; ++i) forward(data_on(r, 4096, i));  // seq 4 gets trimmed
@@ -83,7 +83,7 @@ TEST(Trimming, ControlLaneHasPriorityOverData) {
   EventQueue eq;
   SinkRecorder sink(eq);
   QueueConfig cfg;
-  Queue q(eq, "q", cfg);
+  Port q(eq, "q", cfg, 0);
   Route r;
   r.hops = {&q, &sink};
   // Queue three data packets, then an ACK: the ACK should be delivered
@@ -104,7 +104,7 @@ TEST(Trimming, ControlLaneFullDrops) {
   SinkRecorder sink(eq);
   QueueConfig cfg;
   cfg.control_capacity_bytes = 128;  // two 64 B control packets
-  Queue q(eq, "q", cfg);
+  Port q(eq, "q", cfg, 0);
   Route r;
   r.hops = {&q, &sink};
   Packet d = make_data_packet(2, 0, 4096);
@@ -125,7 +125,7 @@ TEST(Trimming, DisabledFallsBackToDrop) {
   QueueConfig cfg;
   cfg.capacity_bytes = 4096;
   cfg.trim = false;
-  Queue q(eq, "q", cfg);
+  Port q(eq, "q", cfg, 0);
   Route r;
   r.hops = {&q, &sink};
   forward(data_on(r, 4096, 0));
@@ -148,7 +148,7 @@ TEST(PhantomCap, OccupancyBoundedAndDrainsQuickly) {
   cfg.phantom.red.min_bytes = 10'000;
   cfg.phantom.red.max_bytes = 50'000;
   cfg.phantom.cap_bytes = 60'000;
-  Queue q(eq, "q", cfg);
+  Port q(eq, "q", cfg, 0);
   Route r;
   r.hops = {&q, &sink};
   // Sustained line-rate arrivals: without the cap the phantom counter would
@@ -257,10 +257,10 @@ TEST(Recovery, TailLossRecoveredByExpiryNotRto) {
   FlowParams p = ex.flow_params({0, 16 + 3, 1 << 20, 0, true});
   ex.run_until(20 * kMicrosecond);  // mid-transmission: ~25% has crossed
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-    ex.topo().cross_link(0, j).set_up(false);
+    ex.topo().cross_port(0, j).set_up(false);
   ex.run_until(2 * kMillisecond);
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-    ex.topo().cross_link(0, j).set_up(true);
+    ex.topo().cross_port(0, j).set_up(true);
   ASSERT_TRUE(ex.run_to_completion(kSecond));
   EXPECT_GT(f.retransmits(), 0u);
   // Expiry (3 * base_rtt = 6 ms) plus a round trip bounds recovery; the
@@ -274,14 +274,14 @@ TEST(Recovery, RtoEscalatesOnTotalSilence) {
   Experiment ex(uno_cfg());
   FlowSender& f = ex.spawn({0, 16 + 3, 256 << 10, 0, true});
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-    ex.topo().cross_link(0, j).set_up(false);
+    ex.topo().cross_port(0, j).set_up(false);
   ex.run_until(60 * kMillisecond);
   EXPECT_FALSE(f.done());
   EXPECT_EQ(f.cc().cwnd(), 4096);  // UnoCC's on_loss collapse happened
   EXPECT_GT(f.retransmits(), 0u);
   // Links return; the flow finishes.
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-    ex.topo().cross_link(0, j).set_up(true);
+    ex.topo().cross_port(0, j).set_up(true);
   EXPECT_TRUE(ex.run_to_completion(2 * kSecond));
 }
 

@@ -315,8 +315,10 @@ TEST(SlabChurn, HundredThousandFlowsZeroSteadyStateAllocs) {
 }
 
 // A flow record (both endpoints' halves) is what every spawned flow costs
-// for the whole run, live or not (DESIGN.md §15).
-static_assert(sizeof(Flow) <= 352, "the per-flow record grew past its budget");
+// for the whole run, live or not, and a port (queue, serializer and wire) is
+// what every directed adjacency of the fabric costs (DESIGN.md §15).
+static_assert(sizeof(Flow) <= 320, "the per-flow record grew past its budget");
+static_assert(sizeof(Port) <= 424, "the per-port object grew past its budget");
 
 /// The flow records are the run's only per-flow store: result() rebuilds the
 /// completed flows from them in canonical (finish, id) order — the results
@@ -391,6 +393,25 @@ TEST(SlabChurn, EnginesLiveOnlyWhileFlowsAre) {
   const std::uint64_t peak = m.counter("mem.flow.live_peak");
   EXPECT_GT(peak, 0u);
   EXPECT_LT(peak * 10, flows) << "engines outlived their flows";
+}
+
+/// The fabric's fixed cost in the metrics: one port per directed adjacency
+/// (k=4: 96 fabric ports and 4 + 4 border ports per DC, plus cross_links
+/// cross ports per ordered DC pair).
+TEST(SlabChurn, PortMetricsCountEveryAdjacency) {
+  for (int dcs : {2, 3}) {
+    ExperimentConfig cfg;
+    cfg.fattree_k = 4;
+    cfg.uno.num_dcs = dcs;
+    Experiment ex(cfg);
+    MetricRegistry m;
+    ex.snapshot_metrics(m);
+    const std::uint64_t ports =
+        static_cast<std::uint64_t>(dcs) * (96 + 8 + (dcs - 1) * cfg.uno.cross_links);
+    EXPECT_EQ(m.counter("mem.topo.ports"), ports) << dcs;
+    EXPECT_EQ(ex.topo().all_ports().size(), ports) << dcs;
+    EXPECT_EQ(m.counter("mem.topo.port_bytes"), ports * sizeof(Port)) << dcs;
+  }
 }
 
 // ----------------------------------------------------------- options ----

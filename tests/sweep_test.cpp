@@ -26,7 +26,7 @@ TEST_P(EcGeometrySweep, WanFlowSurvivesRandomLoss) {
   Experiment ex(cfg);
   for (int d = 0; d < 2; ++d)
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-      ex.topo().cross_link(d, j).set_loss_model(
+      ex.topo().cross_port(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(0.005, Rng::stream(31, d * 8 + j)));
   FlowSender& f = ex.spawn({2, 16 + 9, 2 << 20, 0, true});
   ASSERT_TRUE(ex.run_to_completion(kSecond)) << data << "," << parity;
@@ -151,7 +151,7 @@ TEST_P(DcCountSweep, AllPairsRoutableAndIsolatedFailures) {
   if (dcs < 3) return;
   // Failing the whole 0->1 mesh must not affect 0->2 traffic.
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-    ex.topo().cross_link(0, 1, j).set_up(false);
+    ex.topo().cross_port(0, 1, j).set_up(false);
   FlowSender& ok = ex.spawn({2, 2 * hpd + 9, 512 << 10, ex.eq().now(), true});
   ASSERT_TRUE(ex.run_to_completion(ex.eq().now() + 500 * kMillisecond));
   EXPECT_TRUE(ok.done());

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "topo/interdc.hpp"
 
@@ -18,7 +20,8 @@ TEST(FatTree, DimensionsForK4) {
   EventQueue eq;
   FatTreeConfig cfg;
   cfg.k = 4;
-  FatTreeDC dc(eq, 0, cfg);
+  FlowTable flows;
+  FatTreeDC dc(eq, 0, cfg, flows);
   EXPECT_EQ(dc.num_hosts(), 16);
   EXPECT_EQ(dc.num_pods(), 4);
   EXPECT_EQ(dc.num_cores(), 4);
@@ -30,7 +33,8 @@ TEST(FatTree, DimensionsForK8MatchPaper) {
   EventQueue eq;
   FatTreeConfig cfg;
   cfg.k = 8;
-  FatTreeDC dc(eq, 0, cfg);
+  FlowTable flows;
+  FatTreeDC dc(eq, 0, cfg, flows);
   // "16 core switches and 8 pods with 4 aggregate and 4 edge switches. Each
   // edge switch is connected to 4 servers." (§5.1)
   EXPECT_EQ(dc.num_cores(), 16);
@@ -44,7 +48,8 @@ TEST(FatTree, HostDecomposition) {
   EventQueue eq;
   FatTreeConfig cfg;
   cfg.k = 4;
-  FatTreeDC dc(eq, 0, cfg);
+  FlowTable flows;
+  FatTreeDC dc(eq, 0, cfg, flows);
   // Host 7 with k=4: hosts_per_pod=4 -> pod 1, edge 1, port 1.
   EXPECT_EQ(dc.pod_of(7), 1);
   EXPECT_EQ(dc.edge_of(7), 1);
@@ -56,11 +61,21 @@ TEST(FatTree, QueueAndLinkCounts) {
   EventQueue eq;
   FatTreeConfig cfg;
   cfg.k = 4;
-  FatTreeDC dc(eq, 0, cfg);
-  // host_up 16, edge_down 8*2, edge_up 8*2, agg_down 8*2, agg_up 8*2,
-  // core_down 4*4 = 16+16+16+16+16+16 = 96.
-  EXPECT_EQ(dc.all_queues().size(), 96u);
-  EXPECT_EQ(dc.all_links().size(), 96u);
+  FlowTable flows;
+  FatTreeDC dc(eq, 0, cfg, flows);
+  // One port per directed adjacency: host_up 16, edge_down 8*2, edge_up
+  // 8*2, agg_down 8*2, agg_up 8*2, core_down 4*4 = 6*16 = 96.
+  EXPECT_EQ(dc.all_ports().size(), 96u);
+  std::set<Port*> distinct;
+  for (Port* p : dc.all_ports()) {
+    distinct.insert(p);
+    EXPECT_EQ(p->channel(), nullptr) << p->name();  // fabric wires are local
+  }
+  EXPECT_EQ(distinct.size(), 96u);
+  EXPECT_EQ(dc.uplink_ports().size(), 32u);
+  EXPECT_EQ(&dc.edge_down_for_host(7), &dc.edge_down(3, 1));
+  EXPECT_EQ(dc.core_down(3, 2).name(), "dc0.c3.down2");
+  EXPECT_EQ(dc.agg_up(1, 1, 0).name(), "dc0.p1.a1.up0");
 }
 
 TEST(InterDc, BaseRttsMatchTable2) {
@@ -83,19 +98,18 @@ TEST(InterDc, HostIndexing) {
   EXPECT_FALSE(topo.is_interdc(3, 7));
 }
 
-/// Walk a route and validate structural invariants: non-null hops,
-/// alternating queue/link pipes, terminating at the right host.
+/// Walk a route and validate structural invariants: non-null hops, one
+/// port per adjacency, terminating at the right host. Only a cross port's
+/// wire is a ChannelLink.
 void check_route(InterDcTopology& topo, const Route& r, int dst) {
   ASSERT_GE(r.hops.size(), 3u);
   for (PacketSink* h : r.hops) ASSERT_NE(h, nullptr);
   EXPECT_EQ(r.hops.back(), &topo.host(dst));
-  // Pipes alternate queue then link: even index queue, odd link. Cross-DC
-  // pipes carry a ChannelLink (the shard-seam flavor) instead of a Link.
-  for (std::size_t i = 0; i + 1 < r.hops.size(); i += 2) {
-    EXPECT_NE(dynamic_cast<Queue*>(r.hops[i]), nullptr) << "hop " << i;
-    EXPECT_TRUE(dynamic_cast<Link*>(r.hops[i + 1]) != nullptr ||
-                dynamic_cast<ChannelLink*>(r.hops[i + 1]) != nullptr)
-        << "hop " << i + 1;
+  for (std::size_t i = 0; i + 1 < r.hops.size(); ++i) {
+    const auto* port = dynamic_cast<Port*>(r.hops[i]);
+    ASSERT_NE(port, nullptr) << "hop " << i;
+    const bool cross = port->name().find(".cross") != std::string::npos;
+    EXPECT_EQ(port->channel() != nullptr, cross) << port->name();
   }
 }
 
@@ -106,7 +120,7 @@ TEST(InterDc, SameEdgePathIsMinimal) {
   ASSERT_EQ(ps.size(), 1u);
   check_route(topo, ps.forward[0], 1);
   check_route(topo, ps.reverse[0], 0);
-  EXPECT_EQ(ps.forward[0].hops.size(), 5u);  // 2 pipes + host
+  EXPECT_EQ(ps.forward[0].hops.size(), 3u);  // 2 ports + host
 }
 
 TEST(InterDc, SamePodPathsPerAgg) {
@@ -114,7 +128,10 @@ TEST(InterDc, SamePodPathsPerAgg) {
   InterDcTopology topo(eq, small_cfg());
   const PathSet& ps = topo.paths(0, 2);  // same pod, different edge
   ASSERT_EQ(ps.size(), 2u);              // one per aggregation switch (k/2)
-  for (const Route& r : ps.forward) check_route(topo, r, 2);
+  for (const Route& r : ps.forward) {
+    check_route(topo, r, 2);
+    EXPECT_EQ(r.hops.size(), 5u);  // 4 ports + host
+  }
 }
 
 TEST(InterDc, CrossPodPathsPerAggCore) {
@@ -125,8 +142,8 @@ TEST(InterDc, CrossPodPathsPerAggCore) {
   std::set<PacketSink*> first_hops;
   for (const Route& r : ps.forward) {
     check_route(topo, r, 12);
-    EXPECT_EQ(r.hops.size(), 13u);  // 6 pipes + host
-    first_hops.insert(r.hops[2]);   // edge-up queue differs by agg
+    EXPECT_EQ(r.hops.size(), 7u);  // 6 ports + host
+    first_hops.insert(r.hops[1]);  // the edge-up port differs by agg
   }
   EXPECT_EQ(first_hops.size(), 2u);  // 2 agg choices
 }
@@ -141,13 +158,13 @@ TEST(InterDc, InterDcPathsCoverAllCrossLinks) {
   std::set<PacketSink*> cross_queues;
   for (const Route& r : ps.forward) {
     check_route(topo, r, 17);
-    EXPECT_EQ(r.hops.size(), 19u);   // 9 pipes + host
-    cross_queues.insert(r.hops[8]);  // border-cross queue
+    EXPECT_EQ(r.hops.size(), 10u);   // 9 ports + host
+    cross_queues.insert(r.hops[4]);  // the cross port
   }
   // Entropies cycle across all 8 border links (i % cross_links).
   EXPECT_EQ(cross_queues.size(), 8u);
   std::set<PacketSink*> expected;
-  for (int j = 0; j < 8; ++j) expected.insert(&topo.cross_queue(0, j));
+  for (int j = 0; j < 8; ++j) expected.insert(&topo.cross_port(0, j));
   EXPECT_EQ(cross_queues, expected);
 }
 
@@ -179,16 +196,46 @@ TEST(InterDc, PropagationDelayMatchesConfiguredRtt) {
   const PathSet& ps = topo.paths(0, 12);
   Time total = 0;
   for (PacketSink* h : ps.forward[0].hops)
-    if (auto* l = dynamic_cast<Link*>(h)) total += l->latency();
+    if (auto* p = dynamic_cast<Port*>(h)) total += p->latency();
   EXPECT_EQ(total, cfg.intra_base_rtt() / 2);
 
+  // A cross port reports its channel's latency.
   const PathSet& inter = topo.paths(0, 16 + 12);
   Time wan = 0;
-  for (PacketSink* h : inter.forward[0].hops) {
-    if (auto* l = dynamic_cast<Link*>(h)) wan += l->latency();
-    if (auto* c = dynamic_cast<ChannelLink*>(h)) wan += c->latency();
-  }
+  for (PacketSink* h : inter.forward[0].hops)
+    if (auto* p = dynamic_cast<Port*>(h)) wan += p->latency();
   EXPECT_EQ(wan, cfg.inter_base_rtt() / 2);
+}
+
+TEST(InterDc, CrossPortsOfAThreeDcMesh) {
+  // Cross ports are addressed by (dc, peer, link) with no self links; their
+  // channels are numbered in that order, and every port with a local wire
+  // precedes them in all_ports().
+  EventQueue eq;
+  InterDcConfig cfg = small_cfg();
+  cfg.num_dcs = 3;
+  cfg.cross_links = 2;
+  InterDcTopology topo(eq, cfg);
+  const std::vector<ChannelLink*> chans = topo.all_channels();
+  ASSERT_EQ(chans.size(), 3u * 2u * 2u);
+  std::size_t next = 0;
+  for (int d = 0; d < 3; ++d)
+    for (int peer = 0; peer < 3; ++peer)
+      for (int j = 0; peer != d && j < 2; ++j) {
+        Port& p = topo.cross_port(d, peer, j);
+        EXPECT_EQ(p.name(), "dc" + std::to_string(d) + ".border.cross" + std::to_string(peer) +
+                                "." + std::to_string(j));
+        ASSERT_EQ(p.channel(), chans[next]);
+        EXPECT_EQ(p.channel()->channel_id(), next);
+        ++next;
+      }
+  const std::vector<Port*> ports = topo.all_ports();
+  ASSERT_EQ(ports.size(), 3u * (96u + 2u * 4u) + chans.size());
+  for (std::size_t i = 0; i < ports.size(); ++i)
+    EXPECT_EQ(ports[i]->channel() != nullptr, i >= ports.size() - chans.size()) << i;
+  std::size_t atoms = 0;
+  for (int d = 0; d < 3; ++d) atoms += topo.atom_ports(d).size();
+  EXPECT_EQ(atoms, ports.size());
 }
 
 TEST(InterDc, DropAccountingStartsAtZero) {

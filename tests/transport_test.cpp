@@ -100,10 +100,10 @@ TEST(Transport, RecoversFromCrossLinkFailureViaRto) {
   // Fail every cross link before any packet reaches the border: the whole
   // first window dies on the WAN and only RTO can recover it.
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-    ex.topo().cross_link(0, j).set_up(false);
+    ex.topo().cross_port(0, j).set_up(false);
   ex.run_until(600 * kMicrosecond);
   for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-    ex.topo().cross_link(0, j).set_up(true);
+    ex.topo().cross_port(0, j).set_up(true);
   ASSERT_TRUE(ex.run_to_completion(500 * kMillisecond));
   EXPECT_TRUE(s.done());
   EXPECT_EQ(s.acked_bytes() >= 256u << 10, true);
@@ -131,7 +131,7 @@ TEST(Transport, EcMasksResidualLossWithoutRetransmit) {
   // drops without needing NACK retransmission rounds for most blocks.
   for (int d = 0; d < 2; ++d)
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-      ex.topo().cross_link(d, j).set_loss_model(
+      ex.topo().cross_port(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(0.002, Rng::stream(9, d * 8 + j)));
   ASSERT_TRUE(ex.run_to_completion(kSecond));
   EXPECT_TRUE(s.done());
@@ -147,7 +147,7 @@ TEST(Transport, EcRecoversBlockViaNackAfterHeavyLoss) {
   // sender must retransmit the affected blocks.
   for (int d = 0; d < 2; ++d)
     for (int j = 0; j < ex.topo().cross_link_count(); ++j)
-      ex.topo().cross_link(d, j).set_loss_model(
+      ex.topo().cross_port(d, j).set_loss_model(
           std::make_unique<BernoulliLoss>(d == 0 ? 0.35 : 0.0, Rng::stream(10, j)));
   ASSERT_TRUE(ex.run_to_completion(2 * kSecond));
   EXPECT_TRUE(s.done());

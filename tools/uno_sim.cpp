@@ -277,7 +277,7 @@ void apply_loss_scale(Experiment& ex, std::uint64_t seed, double loss_scale) {
   for (int d = 0; d < ex.topo().num_dcs(); ++d)
     for (int peer = 0; peer < ex.topo().num_dcs(); ++peer)
       for (int j = 0; peer != d && j < ex.topo().cross_link_count(); ++j)
-        ex.topo().cross_link(d, peer, j).set_loss_model(
+        ex.topo().cross_port(d, peer, j).set_loss_model(
             std::make_unique<BurstLoss>(p, Rng::stream(seed, stream++)));
 }
 
@@ -649,9 +649,9 @@ int main(int argc, char** argv) {
   if (!obs.metrics_file.empty()) std::printf("metrics: %s\n", obs.metrics_file.c_str());
 
   if (opts.flag("queues")) {
-    auto qs = ex.topo().all_queues();
+    auto qs = ex.topo().all_ports();
     std::sort(qs.begin(), qs.end(),
-              [](Queue* a, Queue* b) { return a->bytes_forwarded() > b->bytes_forwarded(); });
+              [](Port* a, Port* b) { return a->bytes_forwarded() > b->bytes_forwarded(); });
     Table qt({"queue", "GB fwd", "max occ KiB", "trims", "ecn marked"});
     for (std::size_t i = 0; i < 10 && i < qs.size(); ++i)
       qt.add_row({qs[i]->name(), Table::fmt(qs[i]->bytes_forwarded() / 1e9, 2),
